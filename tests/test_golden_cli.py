@@ -1,0 +1,116 @@
+"""Byte-for-byte CLI outputs against recorded digests.
+
+``golden_cli.json`` maps each command line (arguments joined by spaces) to
+its exit code and the SHA-256 of its stdout.  Every command runs in-process
+through ``ncsf.cli.main``.  The set covers ``matrix`` for every basis pair
+of every space at n <= 5 (JSON and CSV), ``expand`` for every basis pair and
+index at n <= 4, ``char --young``/``--irreducible`` at n <= 5, every
+``verify`` suite at n <= 4 (text and ``--json``), and a few refusals.
+
+To record the digests again (only when an output is meant to change):
+
+    PYTHONPATH=src python tests/test_golden_cli.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from ncsf.cli import main
+from ncsf.compositions import compositions_of, partitions_of
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+_SPACES = {
+    "sym": (("e", "h", "p", "m", "s"), partitions_of),
+    "qsym": (("M", "F", "QS", "YQS"), compositions_of),
+    "nsym": (("E", "H", "R", "S", "YS"), compositions_of),
+}
+_SUITES = ("main-theorem", "duality", "solomon", "square", "all")
+
+
+def _label(index) -> str:
+    return ",".join(map(str, index)) if index else "0"
+
+
+def _commands() -> dict:
+    """Command lines by group, in a fixed order."""
+    groups = {}
+    for space, (bases, indices) in _SPACES.items():
+        groups[f"matrix-{space}"] = [
+            ["matrix", "--space", space, "--from", a, "--to", b, "-n", str(n), "--format", fmt]
+            for a in bases
+            for b in bases
+            for n in range(1, 6)
+            for fmt in ("json", "csv")
+        ]
+        groups[f"expand-{space}"] = [
+            ["expand", "--space", space, "--from", a, "--to", b, "--index", _label(index)]
+            for a in bases
+            for b in bases
+            for n in range(5)
+            for index in indices(n)
+        ]
+    groups["char"] = [
+        ["char", "--young", _label(alpha)] for n in range(6) for alpha in compositions_of(n)
+    ] + [["char", "--irreducible", _label(lam)] for n in range(6) for lam in partitions_of(n)]
+    groups["verify"] = [
+        ["verify", suite, "-n", str(n)] + extra
+        for suite in _SUITES
+        for n in range(1, 5)
+        for extra in ([], ["--json"])
+    ]
+    groups["refusals"] = [
+        ["expand", "--space", "sym", "--from", "s", "--to", "h", "--index", "1,2"],
+        ["expand", "--space", "qsym", "--from", "QS", "--to", "F", "--index", "1,x"],
+        ["expand", "--space", "nsym", "--from", "QS", "--to", "R", "--index", "2"],
+        ["matrix", "--space", "sym", "--from", "s", "--to", "h", "-n", "0"],
+        ["char", "--irreducible", "1,2"],
+        ["verify", "all", "-n", "0"],
+    ]
+    return groups
+
+
+def _run(argv) -> list:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+
+
+def _record() -> None:
+    golden = {" ".join(argv): _run(argv) for argvs in _commands().values() for argv in argvs}
+    lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in sorted(golden.items())]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"recorded {len(golden)} commands in {GOLDEN}")
+
+
+@pytest.mark.parametrize("group", sorted(_commands()))
+def test_cli_output_matches_golden(group, monkeypatch):
+    monkeypatch.delenv("NCSF_MAX_N", raising=False)
+    golden = json.loads(GOLDEN.read_text())
+    mismatched = []
+    for argv in _commands()[group]:
+        key = " ".join(argv)
+        assert key in golden, f"no recorded digest for {key!r}"
+        got = _run(argv)
+        if got != golden[key]:
+            mismatched.append((key, got, golden[key]))
+    assert not mismatched, f"{len(mismatched)} outputs differ, first: {mismatched[:3]}"
+
+
+def test_golden_file_has_no_stale_commands():
+    golden = json.loads(GOLDEN.read_text())
+    expected = {" ".join(argv) for argvs in _commands().values() for argv in argvs}
+    assert set(golden) == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden_cli.py --record")
+    _record()
