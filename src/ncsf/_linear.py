@@ -1,8 +1,26 @@
-"""Shared plumbing for sparse linear combinations with exact coefficients."""
+"""The graded-space core shared by Sym, QSym and NSym.
 
+Each of the three spaces is a ``Space`` record: its basis names, a hub
+basis (``h``, ``F`` and ``H``), a checker and a canonical order for the
+indices of each degree, and two per-degree matrix builders.  ``to_hub(b, n)``
+has one row per degree-n element of basis ``b``, holding its hub
+coordinates; ``from_hub(b, n)`` holds the ``b`` coordinates of each hub
+element.  Every conversion and transition matrix goes through the hub, so
+a space module supplies only those builders and its own operations.
+
+An element is a frozen ``Element`` subclass that names its space; the
+subclass is its own type, so elements of different spaces never compare
+equal or add.  ``LinearCombinationOps`` gives +, -, unary - and exact
+scalar multiples to any two-field element whose first field is a tag the
+operands must share: the basis here, the degree in the group algebra.
+"""
+
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, ClassVar
 
 from .errors import BasisMismatchError
+from .linalg import Matrix, identity, matmul
 
 _SCALARS = (int, Fraction)
 
@@ -20,48 +38,152 @@ def normalize_terms(terms, check_index) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-class LinearCombinationOps:
-    """Mixin: +, -, unary -, and exact scalar multiples for basis-tagged elements."""
+def product_terms(x: dict, y: dict, combine) -> dict:
+    """The bilinear extension to sparse terms of a product ``combine`` of
+    indices; zero coefficients are dropped."""
+    out = {}
+    for i1, c1 in x.items():
+        for i2, c2 in y.items():
+            idx = combine(i1, i2)
+            out[idx] = out.get(idx, Fraction(0)) + c1 * c2
+    return {k: v for k, v in out.items() if v}
 
-    def _peer(self, other):
+
+def dense_rows(rows, index: dict) -> Matrix:
+    """A matrix from sparse rows: each row maps indices to coefficients and
+    ``index`` gives the column of each index."""
+    out = []
+    for row in rows:
+        dense = [Fraction(0)] * len(index)
+        for idx, c in row.items():
+            dense[index[idx]] = Fraction(c)
+        out.append(tuple(dense))
+    return tuple(out)
+
+
+class LinearCombinationOps:
+    """Mixin: +, -, unary -, and exact scalar multiples for a frozen
+    dataclass whose fields are a tag (named by ``_TAG``) and ``terms``."""
+
+    _TAG = "basis"
+
+    def _mismatch(self, other):
+        return BasisMismatchError(
+            f"cannot combine {self.basis!r} terms with {other.basis!r} terms; convert first"
+        )
+
+    def _combine(self, other, sign):
         if type(other) is not type(self):
             return NotImplemented
-        if other.basis != self.basis:
-            raise BasisMismatchError(
-                f"cannot combine {self.basis!r} terms with {other.basis!r} terms; convert first"
-            )
-        return other
+        tag = getattr(self, self._TAG)
+        if getattr(other, self._TAG) != tag:
+            raise self._mismatch(other)
+        merged = dict(self.terms)
+        for idx, c in other.terms.items():
+            merged[idx] = merged.get(idx, Fraction(0)) + sign * c
+        return type(self)(tag, merged)
 
     def __add__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return NotImplemented
-        merged = dict(self.terms)
-        for idx, c in other.terms.items():
-            merged[idx] = merged.get(idx, Fraction(0)) + c
-        return type(self)(self.basis, merged)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return NotImplemented
-        merged = dict(self.terms)
-        for idx, c in other.terms.items():
-            merged[idx] = merged.get(idx, Fraction(0)) - c
-        return type(self)(self.basis, merged)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return type(self)(self.basis, {idx: -c for idx, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, scalar):
         if not isinstance(scalar, _SCALARS):
             return NotImplemented
-        return type(self)(self.basis, {idx: c * scalar for idx, c in self.terms.items()})
+        tag = getattr(self, self._TAG)
+        return type(self)(tag, {idx: c * scalar for idx, c in self.terms.items()})
 
     __rmul__ = __mul__
+
+
+@dataclass(frozen=True)
+class Space:
+    """A graded space with a hub basis; see the module docstring."""
+
+    name: str
+    bases: tuple
+    hub: str
+    check_index: Callable
+    indices: Callable  # n -> the degree-n indices in canonical order
+    index: Callable  # n -> {index: position in canonical order}
+    to_hub: Callable  # (basis, n) -> Matrix, for basis != hub
+    from_hub: Callable  # (basis, n) -> Matrix, for basis != hub
+
+    def check_basis(self, basis: str) -> str:
+        if basis not in self.bases:
+            raise ValueError(f"unknown {self.name} basis {basis!r}; expected one of {self.bases}")
+        return basis
+
+
+@dataclass(frozen=True)
+class Element(LinearCombinationOps):
+    """A rational combination of basis elements of the subclass's ``space``."""
+
+    space: ClassVar[Space]
+    basis: str
+    terms: dict
+
+    def __post_init__(self):
+        self.space.check_basis(self.basis)
+        object.__setattr__(self, "terms", normalize_terms(self.terms, self.space.check_index))
 
     def degrees(self) -> set[int]:
         return {sum(idx) for idx in self.terms}
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+def _apply_matrix(terms: dict, matrix: Matrix, space: Space, n: int) -> dict:
+    indices, index = space.indices(n), space.index(n)
+    out = [Fraction(0)] * len(indices)
+    for idx, c in terms.items():
+        for j, entry in enumerate(matrix[index[idx]]):
+            if entry:
+                out[j] += c * entry
+    return {indices[j]: v for j, v in enumerate(out) if v}
+
+
+def convert_terms(space: Space, terms: dict, source: str, target: str) -> dict:
+    """The ``target`` coordinates of the ``source``-basis ``terms``, found
+    degree by degree through the hub."""
+    space.check_basis(target)
+    if target == source:
+        return terms
+    by_degree = {}
+    for idx, c in terms.items():
+        by_degree.setdefault(sum(idx), {})[idx] = c
+    converted = {}
+    for n, part in by_degree.items():
+        if source != space.hub:
+            part = _apply_matrix(part, space.to_hub(source, n), space, n)
+        if target != space.hub:
+            part = _apply_matrix(part, space.from_hub(target, n), space, n)
+        converted.update(part)
+    return converted
+
+
+def convert(x: Element, target: str) -> Element:
+    """Express ``x`` in the ``target`` basis of its space."""
+    if target == x.basis:
+        return x
+    return type(x)(target, convert_terms(x.space, x.terms, x.basis, target))
+
+
+def transition_matrix(space: Space, source: str, target: str, n: int) -> Matrix:
+    """Row i expands the i-th degree-n ``source`` element in ``target``
+    coordinates; rows and columns in the space's canonical index order."""
+    for basis in (source, target):
+        space.check_basis(basis)
+    if source == target:
+        return identity(len(space.indices(n)))
+    if source == space.hub:
+        return space.from_hub(target, n)
+    if target == space.hub:
+        return space.to_hub(source, n)
+    return matmul(space.to_hub(source, n), space.from_hub(target, n))

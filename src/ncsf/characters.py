@@ -20,6 +20,7 @@ from .compositions import (
     check_composition,
     check_partition,
     compositions_of,
+    format_composition,
     partitions_of,
     underlying_partition,
     z_stat,
@@ -207,29 +208,33 @@ class VerificationReport:
         return not self.failures
 
 
-def _format_composition(alpha) -> str:
-    return ",".join(str(part) for part in alpha) if alpha else "0"
-
-
-def verify_main_theorem(n: int) -> VerificationReport:
+def character_checks(n: int):
     """For every composition of ``n`` and both Schur-like families, check
     that theta of the descent-algebra preimage is the irreducible character
-    of the underlying partition; additionally check the commuting square
-    ch(theta(...)) = forgetful(psi(...)) on the contained-descent-set sums."""
-    checks = []
+    of the underlying partition."""
     for family in ("S", "YS"):
         for alpha in compositions_of(n):
             got = theta(noncommutative_character(alpha, family))
             want = irreducible_character(underlying_partition(alpha))
-            name = f"noncommutative-character/{family}/{_format_composition(alpha)}"
+            name = f"noncommutative-character/{family}/{format_composition(alpha)}"
             witness = "" if got == want else f"theta image {got.values} != {want.values}"
-            checks.append(Check(name, got == want, witness))
+            yield Check(name, got == want, witness)
+
+
+def square_checks(n: int):
+    """The commuting square ch(theta(xi)) = forgetful(psi(xi)) = h on the
+    contained-descent-set sum xi of every composition of ``n``."""
     for alpha in compositions_of(n):
         lhs = sym_convert(frobenius_ch(theta(xi(alpha))), "h")
         rhs = forgetful_map(psi(xi(alpha)))
         expected = SymElement("h", {underlying_partition(alpha): Fraction(1)})
         passed = lhs == rhs == expected
-        name = f"commuting-square/{_format_composition(alpha)}"
+        name = f"commuting-square/{format_composition(alpha)}"
         witness = "" if passed else f"ch.theta {lhs.terms} vs forgetful.psi {rhs.terms}"
-        checks.append(Check(name, passed, witness))
-    return VerificationReport(n, tuple(checks))
+        yield Check(name, passed, witness)
+
+
+def verify_main_theorem(n: int) -> VerificationReport:
+    """The main theorem at degree ``n``: ``character_checks``, then
+    ``square_checks``."""
+    return VerificationReport(n, (*character_checks(n), *square_checks(n)))

@@ -15,16 +15,14 @@ import argparse
 import sys
 
 from . import serialize
-from .compositions import compositions_of, partitions_of
+from ._linear import convert_terms, transition_matrix
+from .compositions import partitions_of
 from .descent import max_group_degree
 from .errors import NcsfError
 from .characters import irreducible_character, young_character
-from .nsym import NSYM_BASES, NSymElement, nsym_convert
-from .nsym import transition_matrix as nsym_transition_matrix
-from .qsym import QSYM_BASES, QSymElement, qsym_convert
-from .qsym import transition_matrix as qsym_transition_matrix
-from .sym import SYM_BASES, SymElement, sym_convert
-from .sym import transition_matrix as sym_transition_matrix
+from .nsym import NSYM
+from .qsym import QSYM
+from .sym import SYM
 from .tableaux import (
     descent_composition_syct,
     descent_composition_syt,
@@ -35,7 +33,7 @@ from .verification import SUITES, run_suite
 
 __all__ = ["main", "run", "build_parser"]
 
-_BASES = {"sym": SYM_BASES, "qsym": QSYM_BASES, "nsym": NSYM_BASES}
+SPACES = {"sym": SYM, "qsym": QSYM, "nsym": NSYM}
 
 
 class UsageError(NcsfError):
@@ -56,10 +54,11 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def _resolve_basis(space: str, name: str) -> str:
-    for basis in _BASES[space]:
+    bases = SPACES[space].bases
+    for basis in bases:
         if name.lower() == basis.lower():
             return basis
-    raise UsageError(f"unknown {space} basis {name!r}; expected one of {_BASES[space]}")
+    raise UsageError(f"unknown {space} basis {name!r}; expected one of {bases}")
 
 
 def _check_bound(n: int) -> None:
@@ -75,45 +74,35 @@ def _index_label(index) -> str:
 
 
 def _cmd_expand(args) -> int:
-    space = args.space
-    source = _resolve_basis(space, args.source)
-    target = _resolve_basis(space, args.target)
+    space = SPACES[args.space]
+    source = _resolve_basis(args.space, args.source)
+    target = _resolve_basis(args.space, args.target)
     index = _parse_index(args.index)
     n = sum(index)
     _check_bound(n)
-    if space == "sym":
-        if any(index[i] < index[i + 1] for i in range(len(index) - 1)):
-            raise UsageError(f"sym indices are partitions (weakly decreasing): {args.index!r}")
-        element = sym_convert(SymElement(source, {index: 1}), target)
-        order = partitions_of(n)
-    elif space == "qsym":
-        element = qsym_convert(QSymElement(source, {index: 1}), target)
-        order = compositions_of(n)
-    else:
-        element = nsym_convert(NSymElement(source, {index: 1}), target)
-        order = compositions_of(n)
-    payload = serialize.element_payload(space, target, n, element.terms, order)
+    try:
+        space.check_index(index)
+    except ValueError:
+        # only Sym restricts the parsed index: its indices are partitions
+        raise UsageError(
+            f"{args.space} indices are partitions (weakly decreasing): {args.index!r}"
+        ) from None
+    terms = convert_terms(space, {index: 1}, source, target)
+    payload = serialize.element_payload(args.space, target, n, terms, space.indices(n))
     print(serialize.to_json(payload))
     return 0
 
 
 def _cmd_matrix(args) -> int:
-    space = args.space
-    source = _resolve_basis(space, args.source)
-    target = _resolve_basis(space, args.target)
+    space = SPACES[args.space]
+    source = _resolve_basis(args.space, args.source)
+    target = _resolve_basis(args.space, args.target)
     n = args.n
     if n < 1:
         raise UsageError(f"degree must be at least 1: {n}")
     _check_bound(n)
-    if space == "sym":
-        rows = sym_transition_matrix(source, target, n)
-        order = partitions_of(n)
-    elif space == "qsym":
-        rows = qsym_transition_matrix(source, target, n)
-        order = compositions_of(n)
-    else:
-        rows = nsym_transition_matrix(source, target, n)
-        order = compositions_of(n)
+    rows = transition_matrix(space, source, target, n)
+    order = space.indices(n)
     # row convention inside the library is "row = expansion of a source
     # element"; the emitted matrix maps coordinate vectors, so transpose
     entries = list(zip(*rows))
@@ -122,7 +111,7 @@ def _cmd_matrix(args) -> int:
         for row in entries:
             print(",".join(serialize.format_coeff(x) for x in row))
     else:
-        payload = serialize.matrix_payload(space, source, target, n, order, entries)
+        payload = serialize.matrix_payload(args.space, source, target, n, order, entries)
         print(serialize.to_json(payload))
     return 0
 
@@ -203,14 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="expand one basis element in another basis")
-    p.add_argument("--space", required=True, choices=("sym", "qsym", "nsym"))
+    p.add_argument("--space", required=True, choices=tuple(SPACES))
     p.add_argument("--from", dest="source", required=True, metavar="BASIS")
     p.add_argument("--to", dest="target", required=True, metavar="BASIS")
     p.add_argument("--index", required=True, help="comma-separated parts; 0 for the unit")
     p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser("matrix", help="full degree-n transition matrix")
-    p.add_argument("--space", required=True, choices=("sym", "qsym", "nsym"))
+    p.add_argument("--space", required=True, choices=tuple(SPACES))
     p.add_argument("--from", dest="source", required=True, metavar="BASIS")
     p.add_argument("--to", dest="target", required=True, metavar="BASIS")
     p.add_argument("-n", type=int, required=True)
@@ -244,13 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"ncsf: {exc}", file=sys.stderr)
-        return 2
-    except NcsfError as exc:
-        print(f"ncsf: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (NcsfError, ValueError) as exc:
         print(f"ncsf: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ __all__ = [
     "check_partition",
     "compositions_of",
     "composition_index",
+    "format_composition",
     "partitions_of",
     "partition_index",
     "set_of",
@@ -124,6 +125,11 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
 def composition_index(n: int) -> dict[Composition, int]:
     """Position of each composition of n in canonical order."""
     return {alpha: i for i, alpha in enumerate(compositions_of(n))}
+
+
+def format_composition(alpha: Composition) -> str:
+    """Parts joined by commas; the empty composition is ``0``."""
+    return ",".join(str(part) for part in alpha) if alpha else "0"
 
 
 @cache

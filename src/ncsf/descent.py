@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations
 
+from ._linear import LinearCombinationOps, normalize_terms
 from .compositions import Composition, Partition, check_composition, comp_of
 from .errors import DegreeMismatchError, NotInDescentSpanError, ResourceLimitError
 from .nsym import NSymElement, nsym_convert
@@ -126,62 +127,27 @@ def descent_classes(n: int) -> dict[tuple[int, ...], tuple[Permutation, ...]]:
 
 
 @dataclass(frozen=True)
-class GroupAlgebraElement:
-    """A rational combination of permutations of a common degree."""
+class GroupAlgebraElement(LinearCombinationOps):
+    """A rational combination of permutations of a common degree; sums and
+    differences need equal degrees."""
 
     n: int
     terms: dict
 
+    _TAG = "n"
+
     def __post_init__(self):
         _check_degree(self.n)
-        out = {}
-        for sigma, coeff in dict(self.terms).items():
-            sigma = check_permutation(sigma)
-            if len(sigma) != self.n:
-                raise DegreeMismatchError(
-                    f"permutation {sigma} does not have degree {self.n}"
-                )
-            if not isinstance(coeff, (int, Fraction)):
-                raise TypeError(f"coefficients must be exact (int or Fraction): {coeff!r}")
-            c = Fraction(coeff)
-            if c:
-                out[sigma] = out.get(sigma, Fraction(0)) + c
-        object.__setattr__(self, "terms", {k: v for k, v in out.items() if v})
+        object.__setattr__(self, "terms", normalize_terms(self.terms, self._check_permutation))
 
-    def _peer(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if other.n != self.n:
-            raise DegreeMismatchError(f"degrees differ: {self.n} vs {other.n}")
-        return other
+    def _check_permutation(self, sigma) -> Permutation:
+        sigma = check_permutation(sigma)
+        if len(sigma) != self.n:
+            raise DegreeMismatchError(f"permutation {sigma} does not have degree {self.n}")
+        return sigma
 
-    def __add__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return NotImplemented
-        merged = dict(self.terms)
-        for sigma, c in other.terms.items():
-            merged[sigma] = merged.get(sigma, Fraction(0)) + c
-        return GroupAlgebraElement(self.n, merged)
-
-    def __sub__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return NotImplemented
-        merged = dict(self.terms)
-        for sigma, c in other.terms.items():
-            merged[sigma] = merged.get(sigma, Fraction(0)) - c
-        return GroupAlgebraElement(self.n, merged)
-
-    def __neg__(self):
-        return GroupAlgebraElement(self.n, {s: -c for s, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return GroupAlgebraElement(self.n, {s: c * scalar for s, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def _mismatch(self, other):
+        return DegreeMismatchError(f"degrees differ: {self.n} vs {other.n}")
 
 
 def group_algebra_element(n: int, terms) -> GroupAlgebraElement:

@@ -2,25 +2,28 @@
 
 Composition-indexed bases: noncommutative elementary ``E``, complete
 homogeneous ``H``, ribbon ``R``, noncommutative Schur ``S``, and Young
-noncommutative Schur ``YS``.  The hub basis is ``H``:
+noncommutative Schur ``YS``.  The space is the ``NSYM`` record of the
+graded-space core (``_linear``), with hub basis ``H``; the per-degree
+matrices built here are cached:
 
 * E <-> H by the alternating sums over compositions of each part, with
   indices concatenated in order (the algebra is free, so products of the
   generators never collide);
 * R -> H by the signed sum over coarsenings, H -> R by the unsigned one;
-* R expands in YS with SYCT counts (shape index transposed against the
-  descent-composition index) and in S with both indices reversed; the S
-  and YS directions come from exact inverses of those expansions.
+* R expands in YS and in S by the transposes of the F expansions of the
+  dual QSym bases YQS and QS (SYCT counts); the S and YS directions come
+  from exact inverses of those expansions.
 
 The dual pairing with quasisymmetric functions and the forgetful map onto
 Sym live here as well.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import add
 
-from ._linear import LinearCombinationOps, normalize_terms
+from ._linear import Element, Space, convert, dense_rows, product_terms
+from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     check_composition,
     coarsenings,
@@ -30,10 +33,9 @@ from .compositions import (
     reversal,
     underlying_partition,
 )
-from .linalg import Matrix, identity, invert, matmul, transpose
-from .qsym import QSymElement, qsym_convert
+from .linalg import Matrix, invert, matmul, transpose
+from .qsym import QSYM, QSymElement, qsym_convert
 from .sym import SymElement
-from .tableaux import dhat_matrix
 
 __all__ = [
     "NSYM_BASES",
@@ -51,17 +53,58 @@ __all__ = [
 NSYM_BASES = ("E", "H", "R", "S", "YS")
 
 
-@dataclass(frozen=True)
-class NSymElement(LinearCombinationOps):
+_QSYM_DUAL = {"S": "QS", "YS": "YQS"}
+
+
+@cache
+def _r_in_schur_matrix(basis: str, n: int) -> Matrix:
+    """Row gamma holds the ``basis`` (S or YS) coordinates of the ribbon
+    element of gamma: the transpose of the F expansion of the dual QSym
+    basis (QS or YQS), since R is dual to F."""
+    return transpose(_transition_matrix(QSYM, _QSYM_DUAL[basis], "F", n))
+
+
+@cache
+def _to_h_matrix(basis: str, n: int) -> Matrix:
+    comps = compositions_of(n)
+    index = composition_index(n)
+    if basis == "E":
+        # alternating sums over refinements; the same matrix serves H -> E
+        rows = (
+            {gamma: -1 if (len(gamma) - n) % 2 else 1 for gamma in refinements(alpha)}
+            for alpha in comps
+        )
+        return dense_rows(rows, index)
+    if basis == "R":
+        rows = (
+            {beta: -1 if (len(alpha) - len(beta)) % 2 else 1 for beta in coarsenings(alpha)}
+            for alpha in comps
+        )
+        return dense_rows(rows, index)
+    return matmul(invert(_r_in_schur_matrix(basis, n)), _to_h_matrix("R", n))  # S, YS
+
+
+@cache
+def _from_h_matrix(basis: str, n: int) -> Matrix:
+    if basis == "E":
+        return _to_h_matrix("E", n)
+    if basis == "R":
+        # H_alpha is the unsigned sum of ribbon elements over coarsenings
+        rows = (dict.fromkeys(coarsenings(alpha), 1) for alpha in compositions_of(n))
+        return dense_rows(rows, composition_index(n))
+    return matmul(_from_h_matrix("R", n), _r_in_schur_matrix(basis, n))  # S, YS
+
+
+NSYM = Space(
+    "NSym", NSYM_BASES, "H", check_composition, compositions_of, composition_index,
+    _to_h_matrix, _from_h_matrix,
+)
+
+
+class NSymElement(Element):
     """A rational combination of basis elements, indexed by compositions."""
 
-    basis: str
-    terms: dict
-
-    def __post_init__(self):
-        if self.basis not in NSYM_BASES:
-            raise ValueError(f"unknown NSym basis {self.basis!r}; expected one of {NSYM_BASES}")
-        object.__setattr__(self, "terms", normalize_terms(self.terms, check_composition))
+    space = NSYM
 
 
 def nsym_element(basis: str, terms) -> NSymElement:
@@ -72,138 +115,15 @@ def nsym_basis_element(basis: str, alpha) -> NSymElement:
     return NSymElement(basis, {check_composition(alpha): Fraction(1)})
 
 
-@cache
-def _alternating_expansion(alpha) -> dict:
-    """Expansion of a product of generators over the other generator family:
-    the coefficient of gamma is (-1)^(len(gamma) - n) for each gamma refining
-    alpha.  Serves both E -> H and H -> E."""
-    n = sum(alpha)
-    out = {}
-    for gamma in refinements(alpha):
-        out[gamma] = Fraction(-1 if (len(gamma) - n) % 2 else 1)
-    return out
-
-
-@cache
-def _dhat_fractions(n: int) -> Matrix:
-    if n == 0:
-        return ((Fraction(1),),)
-    return tuple(tuple(Fraction(x) for x in row) for row in dhat_matrix(n))
-
-
-@cache
-def _r_in_ys_matrix(n: int) -> Matrix:
-    """Row gamma holds the YS coordinates of the ribbon element of gamma."""
-    return transpose(_dhat_fractions(n))
-
-
-@cache
-def _r_in_s_matrix(n: int) -> Matrix:
-    """Row gamma holds the S coordinates of the ribbon element of gamma."""
-    comps = compositions_of(n)
-    index = composition_index(n)
-    dhat = _dhat_fractions(n)
-    return tuple(
-        tuple(dhat[index[reversal(beta)]][index[reversal(gamma)]] for beta in comps)
-        for gamma in comps
-    )
-
-
-@cache
-def _to_h_matrix(basis: str, n: int) -> Matrix:
-    comps = compositions_of(n)
-    index = composition_index(n)
-    if basis == "H":
-        return identity(len(comps))
-    if basis == "E":
-        rows = []
-        for alpha in comps:
-            dense = [Fraction(0)] * len(comps)
-            for gamma, c in _alternating_expansion(alpha).items():
-                dense[index[gamma]] = c
-            rows.append(tuple(dense))
-        return tuple(rows)
-    if basis == "R":
-        rows = []
-        for alpha in comps:
-            dense = [Fraction(0)] * len(comps)
-            sign_alpha = -1 if len(alpha) % 2 else 1
-            for beta in coarsenings(alpha):
-                sign = sign_alpha * (-1 if len(beta) % 2 else 1)
-                dense[index[beta]] = Fraction(sign)
-            rows.append(tuple(dense))
-        return tuple(rows)
-    if basis == "YS":
-        return matmul(invert(_r_in_ys_matrix(n)), _to_h_matrix("R", n))
-    if basis == "S":
-        return matmul(invert(_r_in_s_matrix(n)), _to_h_matrix("R", n))
-    raise ValueError(f"unknown NSym basis {basis!r}")
-
-
-@cache
-def _from_h_matrix(basis: str, n: int) -> Matrix:
-    comps = compositions_of(n)
-    index = composition_index(n)
-    if basis == "H":
-        return identity(len(comps))
-    if basis == "E":
-        return _to_h_matrix("E", n)
-    if basis == "R":
-        # H_alpha is the unsigned sum of ribbon elements over coarsenings
-        rows = []
-        for alpha in comps:
-            dense = [Fraction(0)] * len(comps)
-            for beta in coarsenings(alpha):
-                dense[index[beta]] = Fraction(1)
-            rows.append(tuple(dense))
-        return tuple(rows)
-    if basis == "YS":
-        return matmul(_from_h_matrix("R", n), _r_in_ys_matrix(n))
-    if basis == "S":
-        return matmul(_from_h_matrix("R", n), _r_in_s_matrix(n))
-    raise ValueError(f"unknown NSym basis {basis!r}")
-
-
-def _apply_matrix(terms: dict, matrix: Matrix, n: int) -> dict:
-    comps = compositions_of(n)
-    index = composition_index(n)
-    out = [Fraction(0)] * len(comps)
-    for alpha, c in terms.items():
-        for j, entry in enumerate(matrix[index[alpha]]):
-            if entry:
-                out[j] += c * entry
-    return {comps[j]: v for j, v in enumerate(out) if v}
-
-
 def nsym_convert(x: NSymElement, target: str) -> NSymElement:
     """Express ``x`` in the ``target`` basis, degree by degree."""
-    if target not in NSYM_BASES:
-        raise ValueError(f"unknown NSym basis {target!r}; expected one of {NSYM_BASES}")
-    if target == x.basis:
-        return x
-    by_degree = {}
-    for alpha, c in x.terms.items():
-        by_degree.setdefault(sum(alpha), {})[alpha] = c
-    converted = {}
-    for n, terms in by_degree.items():
-        if x.basis != "H":
-            terms = _apply_matrix(terms, _to_h_matrix(x.basis, n), n)
-        if target != "H":
-            terms = _apply_matrix(terms, _from_h_matrix(target, n), n)
-        converted.update(terms)
-    return NSymElement(target, converted)
+    return convert(x, target)
 
 
 def nsym_multiply(x: NSymElement, y: NSymElement) -> NSymElement:
     """Product in the free algebra: indices concatenate in the H basis."""
-    xh = nsym_convert(x, "H")
-    yh = nsym_convert(y, "H")
-    out = {}
-    for i1, c1 in xh.terms.items():
-        for i2, c2 in yh.terms.items():
-            idx = i1 + i2
-            out[idx] = out.get(idx, Fraction(0)) + c1 * c2
-    return nsym_convert(NSymElement("H", out), x.basis)
+    xh, yh = nsym_convert(x, "H"), nsym_convert(y, "H")
+    return nsym_convert(NSymElement("H", product_terms(xh.terms, yh.terms, add)), x.basis)
 
 
 def star_antiautomorphism(x: NSymElement) -> NSymElement:
@@ -240,13 +160,4 @@ def duality_pairing(q: QSymElement, f: NSymElement) -> Fraction:
 def transition_matrix(source: str, target: str, n: int) -> Matrix:
     """Row i expands the i-th degree-n ``source`` element in ``target``
     coordinates; rows and columns in canonical composition order."""
-    for basis in (source, target):
-        if basis not in NSYM_BASES:
-            raise ValueError(f"unknown NSym basis {basis!r}; expected one of {NSYM_BASES}")
-    if source == target:
-        return identity(len(compositions_of(n)))
-    if source == "H":
-        return _from_h_matrix(target, n)
-    if target == "H":
-        return _to_h_matrix(source, n)
-    return matmul(_to_h_matrix(source, n), _from_h_matrix(target, n))
+    return _transition_matrix(NSYM, source, target, n)

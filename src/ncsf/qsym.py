@@ -1,8 +1,9 @@
 """The graded vector space of quasisymmetric functions.
 
 Composition-indexed bases: monomial ``M``, fundamental ``F``, quasisymmetric
-Schur ``QS``, and Young quasisymmetric Schur ``YQS``.  The hub basis is
-``F``:
+Schur ``QS``, and Young quasisymmetric Schur ``YQS``.  The space is the
+``QSYM`` record of the graded-space core (``_linear``), with hub basis
+``F``; the per-degree matrices built here are cached:
 
 * F -> M is the refinement sum F_alpha = sum over beta refining alpha of
   M_beta; M -> F is its exact inverse;
@@ -15,12 +16,12 @@ This module also holds the two bridges with Sym: the monomial embedding
 and its partial inverse ``symmetric_part``.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations as _permutations
 
-from ._linear import LinearCombinationOps, normalize_terms
+from ._linear import Element, Space, convert, dense_rows
+from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     Composition,
     Partition,
@@ -32,7 +33,7 @@ from .compositions import (
     reversal,
     underlying_partition,
 )
-from .linalg import Matrix, identity, invert, matmul
+from .linalg import Matrix, invert
 from .sym import SymElement, sym_convert
 from .tableaux import dhat_matrix
 
@@ -52,27 +53,6 @@ __all__ = [
 QSYM_BASES = ("M", "F", "QS", "YQS")
 
 
-@dataclass(frozen=True)
-class QSymElement(LinearCombinationOps):
-    """A rational combination of basis elements, indexed by compositions."""
-
-    basis: str
-    terms: dict
-
-    def __post_init__(self):
-        if self.basis not in QSYM_BASES:
-            raise ValueError(f"unknown QSym basis {self.basis!r}; expected one of {QSYM_BASES}")
-        object.__setattr__(self, "terms", normalize_terms(self.terms, check_composition))
-
-
-def qsym_element(basis: str, terms) -> QSymElement:
-    return QSymElement(basis, dict(terms))
-
-
-def qsym_basis_element(basis: str, alpha) -> QSymElement:
-    return QSymElement(basis, {check_composition(alpha): Fraction(1)})
-
-
 @cache
 def compositions_with_underlying(lam: Partition) -> tuple[Composition, ...]:
     """All compositions whose parts sort to ``lam``, in canonical order."""
@@ -83,86 +63,52 @@ def compositions_with_underlying(lam: Partition) -> tuple[Composition, ...]:
 
 
 @cache
-def _f_to_m_matrix(n: int) -> Matrix:
-    comps = compositions_of(n)
-    index = composition_index(n)
-    rows = []
-    for alpha in comps:
-        dense = [Fraction(0)] * len(comps)
-        for beta in refinements(alpha):
-            dense[index[beta]] = Fraction(1)
-        rows.append(tuple(dense))
-    return tuple(rows)
-
-
-@cache
-def _dhat_fractions(n: int) -> Matrix:
-    if n == 0:
-        return ((Fraction(1),),)
-    return tuple(tuple(Fraction(x) for x in row) for row in dhat_matrix(n))
-
-
-@cache
-def _qs_to_f_matrix(n: int) -> Matrix:
-    comps = compositions_of(n)
-    index = composition_index(n)
-    dhat = _dhat_fractions(n)
+def _to_f_matrix(basis: str, n: int) -> Matrix:
+    if basis == "M":
+        return invert(_from_f_matrix("M", n))
+    if basis == "YQS":
+        dhat = dhat_matrix(n) if n else ((1,),)
+        return tuple(tuple(Fraction(x) for x in row) for row in dhat)
+    # QS: the YQS matrix with both indices reversed
+    comps, index = compositions_of(n), composition_index(n)
+    yqs = _to_f_matrix("YQS", n)
     return tuple(
-        tuple(dhat[index[reversal(alpha)]][index[reversal(beta)]] for beta in comps)
+        tuple(yqs[index[reversal(alpha)]][index[reversal(beta)]] for beta in comps)
         for alpha in comps
     )
 
 
 @cache
-def _to_f_matrix(basis: str, n: int) -> Matrix:
-    if basis == "F":
-        return identity(len(compositions_of(n)))
-    if basis == "M":
-        return invert(_f_to_m_matrix(n))
-    if basis == "YQS":
-        return _dhat_fractions(n)
-    if basis == "QS":
-        return _qs_to_f_matrix(n)
-    raise ValueError(f"unknown QSym basis {basis!r}")
-
-
-@cache
 def _from_f_matrix(basis: str, n: int) -> Matrix:
-    if basis == "F":
-        return identity(len(compositions_of(n)))
     if basis == "M":
-        return _f_to_m_matrix(n)
+        rows = (dict.fromkeys(refinements(alpha), 1) for alpha in compositions_of(n))
+        return dense_rows(rows, composition_index(n))
     return invert(_to_f_matrix(basis, n))
 
 
-def _apply_matrix(terms: dict, matrix: Matrix, n: int) -> dict:
-    comps = compositions_of(n)
-    index = composition_index(n)
-    out = [Fraction(0)] * len(comps)
-    for alpha, c in terms.items():
-        for j, entry in enumerate(matrix[index[alpha]]):
-            if entry:
-                out[j] += c * entry
-    return {comps[j]: v for j, v in enumerate(out) if v}
+QSYM = Space(
+    "QSym", QSYM_BASES, "F", check_composition, compositions_of, composition_index,
+    _to_f_matrix, _from_f_matrix,
+)
+
+
+class QSymElement(Element):
+    """A rational combination of basis elements, indexed by compositions."""
+
+    space = QSYM
+
+
+def qsym_element(basis: str, terms) -> QSymElement:
+    return QSymElement(basis, dict(terms))
+
+
+def qsym_basis_element(basis: str, alpha) -> QSymElement:
+    return QSymElement(basis, {check_composition(alpha): Fraction(1)})
 
 
 def qsym_convert(x: QSymElement, target: str) -> QSymElement:
     """Express ``x`` in the ``target`` basis, degree by degree."""
-    if target not in QSYM_BASES:
-        raise ValueError(f"unknown QSym basis {target!r}; expected one of {QSYM_BASES}")
-    if target == x.basis:
-        return x
-    by_degree = {}
-    for alpha, c in x.terms.items():
-        by_degree.setdefault(sum(alpha), {})[alpha] = c
-    converted = {}
-    for n, terms in by_degree.items():
-        if x.basis != "F":
-            terms = _apply_matrix(terms, _to_f_matrix(x.basis, n), n)
-        if target != "F":
-            terms = _apply_matrix(terms, _from_f_matrix(target, n), n)
-        converted.update(terms)
-    return QSymElement(target, converted)
+    return convert(x, target)
 
 
 def reversal_automorphism(x: QSymElement) -> QSymElement:
@@ -204,13 +150,4 @@ def embed_sym_in_qsym(x: SymElement) -> QSymElement:
 def transition_matrix(source: str, target: str, n: int) -> Matrix:
     """Row i expands the i-th degree-n ``source`` element in ``target``
     coordinates; rows and columns in canonical composition order."""
-    for basis in (source, target):
-        if basis not in QSYM_BASES:
-            raise ValueError(f"unknown QSym basis {basis!r}; expected one of {QSYM_BASES}")
-    if source == target:
-        return identity(len(compositions_of(n)))
-    if source == "F":
-        return _from_f_matrix(target, n)
-    if target == "F":
-        return _to_f_matrix(source, n)
-    return matmul(_to_f_matrix(source, n), _from_f_matrix(target, n))
+    return _transition_matrix(QSYM, source, target, n)

@@ -10,21 +10,15 @@ from fractions import Fraction
 
 __all__ = [
     "format_coeff",
-    "parse_coeff",
     "element_payload",
     "class_function_payload",
     "matrix_payload",
     "to_json",
-    "from_json",
 ]
 
 
 def format_coeff(value: Fraction) -> str:
     return str(Fraction(value))
-
-
-def parse_coeff(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def element_payload(space: str, basis: str, degree: int, terms, order) -> dict:
@@ -70,7 +64,3 @@ def matrix_payload(space: str, source: str, target: str, n: int, order, entries)
 
 def to_json(payload) -> str:
     return json.dumps(payload)
-
-
-def from_json(text: str):
-    return json.loads(text)

@@ -2,9 +2,10 @@
 
 Elements are sparse rational combinations of partition-indexed basis
 elements in one of five bases: elementary ``e``, complete homogeneous
-``h``, power sum ``p``, monomial ``m``, and Schur ``s``.  All pairwise
-conversions route through the hub basis ``h`` with per-degree transition
-matrices that are computed once and cached:
+``h``, power sum ``p``, monomial ``m``, and Schur ``s``.  The space is the
+``SYM`` record of the graded-space core (``_linear``), with hub basis
+``h``; conversions and transition matrices are the core's, applied to the
+per-degree matrices built here once and cached:
 
 * e <-> h by the alternating sums over compositions of each part,
 * p <-> h by the Newton recurrences r*h_r = sum_k p_k h_{r-k},
@@ -13,12 +14,12 @@ matrices that are computed once and cached:
   its exact inverse.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
 
-from ._linear import LinearCombinationOps, normalize_terms
+from ._linear import Element, Space, convert, dense_rows, product_terms
+from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     Partition,
     check_partition,
@@ -26,7 +27,7 @@ from .compositions import (
     partition_index,
     partitions_of,
 )
-from .linalg import Matrix, identity, invert, matmul
+from .linalg import Matrix, invert, matmul
 
 __all__ = [
     "SYM_BASES",
@@ -42,42 +43,16 @@ __all__ = [
 SYM_BASES = ("e", "h", "p", "m", "s")
 
 
-@dataclass(frozen=True)
-class SymElement(LinearCombinationOps):
-    """A rational combination of basis elements, indexed by partitions."""
-
-    basis: str
-    terms: dict
-
-    def __post_init__(self):
-        if self.basis not in SYM_BASES:
-            raise ValueError(f"unknown Sym basis {self.basis!r}; expected one of {SYM_BASES}")
-        object.__setattr__(self, "terms", normalize_terms(self.terms, check_partition))
-
-
-def sym_element(basis: str, terms) -> SymElement:
-    return SymElement(basis, dict(terms))
-
-
-def sym_basis_element(basis: str, lam) -> SymElement:
-    return SymElement(basis, {check_partition(lam): Fraction(1)})
-
-
 def _merge(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
 
 
 def _product_row(factors) -> dict:
     """Product of expansions over a multiplicative partition-indexed basis."""
-    acc = {(): Fraction(1)}
+    row = {(): Fraction(1)}
     for factor in factors:
-        nxt = {}
-        for i1, c1 in acc.items():
-            for i2, c2 in factor.items():
-                idx = _merge(i1, i2)
-                nxt[idx] = nxt.get(idx, Fraction(0)) + c1 * c2
-        acc = {k: v for k, v in nxt.items() if v}
-    return acc
+        row = product_terms(row, factor, _merge)
+    return row
 
 
 @cache
@@ -174,90 +149,63 @@ def _p_in_m_matrix(n: int) -> Matrix:
     )
 
 
-def _dense(rows, n: int) -> Matrix:
-    index = partition_index(n)
-    size = len(index)
-    out = []
-    for row in rows:
-        dense = [Fraction(0)] * size
-        for idx, c in row.items():
-            dense[index[idx]] = c
-        out.append(tuple(dense))
-    return tuple(out)
+def _multiplicative(generator_row, n: int) -> Matrix:
+    """Row lam: the product over the parts r of lam of ``generator_row(r)``."""
+    rows = (_product_row(map(generator_row, lam)) for lam in partitions_of(n))
+    return dense_rows(rows, partition_index(n))
 
 
 @cache
 def _to_h_matrix(basis: str, n: int) -> Matrix:
-    parts_list = partitions_of(n)
-    if basis == "h":
-        return identity(len(parts_list))
     if basis == "e":
-        return _dense([_product_row([_alternating_row(p) for p in lam]) for lam in parts_list], n)
+        return _multiplicative(_alternating_row, n)
     if basis == "p":
-        return _dense([_product_row([_p_in_h(p) for p in lam]) for lam in parts_list], n)
+        return _multiplicative(_p_in_h, n)
     if basis == "s":
-        return _dense([_jacobi_trudi_h(lam) for lam in parts_list], n)
-    if basis == "m":
-        return matmul(invert(_p_in_m_matrix(n)), _to_h_matrix("p", n))
-    raise ValueError(f"unknown Sym basis {basis!r}")
+        return dense_rows(map(_jacobi_trudi_h, partitions_of(n)), partition_index(n))
+    return matmul(invert(_p_in_m_matrix(n)), _to_h_matrix("p", n))  # m
 
 
 @cache
 def _from_h_matrix(basis: str, n: int) -> Matrix:
-    parts_list = partitions_of(n)
-    if basis == "h":
-        return identity(len(parts_list))
     if basis == "e":
-        return _dense([_product_row([_alternating_row(p) for p in lam]) for lam in parts_list], n)
+        return _to_h_matrix("e", n)
     if basis == "p":
-        return _dense([_product_row([_h_in_p(p) for p in lam]) for lam in parts_list], n)
+        return _multiplicative(_h_in_p, n)
     if basis == "s":
         return invert(_to_h_matrix("s", n))
-    if basis == "m":
-        return matmul(_from_h_matrix("p", n), _p_in_m_matrix(n))
-    raise ValueError(f"unknown Sym basis {basis!r}")
+    return matmul(_from_h_matrix("p", n), _p_in_m_matrix(n))  # m
 
 
-def _apply_matrix(terms: dict, matrix: Matrix, n: int) -> dict:
-    parts_list = partitions_of(n)
-    index = partition_index(n)
-    out = [Fraction(0)] * len(parts_list)
-    for lam, c in terms.items():
-        for j, entry in enumerate(matrix[index[lam]]):
-            if entry:
-                out[j] += c * entry
-    return {parts_list[j]: v for j, v in enumerate(out) if v}
+SYM = Space(
+    "Sym", SYM_BASES, "h", check_partition, partitions_of, partition_index,
+    _to_h_matrix, _from_h_matrix,
+)
+
+
+class SymElement(Element):
+    """A rational combination of basis elements, indexed by partitions."""
+
+    space = SYM
+
+
+def sym_element(basis: str, terms) -> SymElement:
+    return SymElement(basis, dict(terms))
+
+
+def sym_basis_element(basis: str, lam) -> SymElement:
+    return SymElement(basis, {check_partition(lam): Fraction(1)})
 
 
 def sym_convert(x: SymElement, target: str) -> SymElement:
     """Express ``x`` in the ``target`` basis, degree by degree."""
-    if target not in SYM_BASES:
-        raise ValueError(f"unknown Sym basis {target!r}; expected one of {SYM_BASES}")
-    if target == x.basis:
-        return x
-    by_degree = {}
-    for lam, c in x.terms.items():
-        by_degree.setdefault(sum(lam), {})[lam] = c
-    converted = {}
-    for n, terms in by_degree.items():
-        if x.basis != "h":
-            terms = _apply_matrix(terms, _to_h_matrix(x.basis, n), n)
-        if target != "h":
-            terms = _apply_matrix(terms, _from_h_matrix(target, n), n)
-        converted.update(terms)
-    return SymElement(target, converted)
+    return convert(x, target)
 
 
 def sym_multiply(x: SymElement, y: SymElement) -> SymElement:
     """Product in Sym, computed through the multiplicative power-sum basis."""
-    xp = sym_convert(x, "p")
-    yp = sym_convert(y, "p")
-    out = {}
-    for i1, c1 in xp.terms.items():
-        for i2, c2 in yp.terms.items():
-            idx = _merge(i1, i2)
-            out[idx] = out.get(idx, Fraction(0)) + c1 * c2
-    return sym_convert(SymElement("p", out), x.basis)
+    xp, yp = sym_convert(x, "p"), sym_convert(y, "p")
+    return sym_convert(SymElement("p", product_terms(xp.terms, yp.terms, _merge)), x.basis)
 
 
 def schur(lam) -> SymElement:
@@ -268,13 +216,4 @@ def schur(lam) -> SymElement:
 def transition_matrix(source: str, target: str, n: int) -> Matrix:
     """Row i expands the i-th degree-n ``source`` element in ``target``
     coordinates; rows and columns in reverse lexicographic partition order."""
-    for basis in (source, target):
-        if basis not in SYM_BASES:
-            raise ValueError(f"unknown Sym basis {basis!r}; expected one of {SYM_BASES}")
-    if source == target:
-        return identity(len(partitions_of(n)))
-    if source == "h":
-        return _from_h_matrix(target, n)
-    if target == "h":
-        return _to_h_matrix(source, n)
-    return matmul(_to_h_matrix(source, n), _from_h_matrix(target, n))
+    return _transition_matrix(SYM, source, target, n)

@@ -10,95 +10,82 @@ Each suite returns a VerificationReport whose checks are exact identities:
   span and theta takes them to pointwise products of Young characters;
 * ``square``: the commuting square relating theta, psi, ch, and the
   forgetful map;
-* ``all``: everything above.
+* ``all``: everything above, in that order.
+
+Each suite is one check generator in a registry, so no suite computes
+another's checks.
 """
 
 from .characters import (
     Check,
     VerificationReport,
+    character_checks,
     class_products,
+    square_checks,
     theta,
-    verify_main_theorem,
     young_character,
 )
-from .compositions import compositions_of
+from .compositions import compositions_of, format_composition
 from .descent import convolve, descent_span_coordinates, xi
-from .linalg import is_identity
-from .nsym import NSymElement, duality_pairing
-from .qsym import QSymElement
+from .linalg import is_identity, matmul, transpose
+from .nsym import transition_matrix as nsym_transition_matrix
+from .qsym import transition_matrix as qsym_transition_matrix
 
 __all__ = ["SUITES", "run_suite"]
 
 _DUAL_PAIRS = (("M", "H"), ("F", "R"), ("QS", "S"), ("YQS", "YS"))
 
-SUITES = ("main-theorem", "duality", "solomon", "square", "all")
+
+def duality_matrix(qsym_basis: str, nsym_basis: str, n: int):
+    """The degree-n pairing matrix of two bases: entry (alpha, beta) is the
+    pairing of the QSym element of alpha with the NSym element of beta.
+    F and R are dual, so it is the product of the F expansion of one basis
+    with the transposed R expansion of the other."""
+    return matmul(
+        qsym_transition_matrix(qsym_basis, "F", n),
+        transpose(nsym_transition_matrix(nsym_basis, "R", n)),
+    )
 
 
-def _format_composition(alpha) -> str:
-    return ",".join(str(part) for part in alpha) if alpha else "0"
-
-
-def _main_theorem_checks(n: int) -> tuple:
-    report = verify_main_theorem(n)
-    return tuple(c for c in report.checks if c.name.startswith("noncommutative-character/"))
-
-
-def _square_checks(n: int) -> tuple:
-    report = verify_main_theorem(n)
-    return tuple(c for c in report.checks if c.name.startswith("commuting-square/"))
-
-
-def _duality_checks(n: int) -> tuple:
-    comps = compositions_of(n)
-    checks = []
+def _duality_checks(n: int):
     for qsym_basis, nsym_basis in _DUAL_PAIRS:
-        pairing = tuple(
-            tuple(
-                duality_pairing(
-                    QSymElement(qsym_basis, {alpha: 1}),
-                    NSymElement(nsym_basis, {beta: 1}),
-                )
-                for beta in comps
-            )
-            for alpha in comps
-        )
+        pairing = duality_matrix(qsym_basis, nsym_basis, n)
         passed = is_identity(pairing)
         witness = "" if passed else f"pairing matrix {pairing}"
-        checks.append(Check(f"duality/{qsym_basis}:{nsym_basis}", passed, witness))
-    return tuple(checks)
+        yield Check(f"duality/{qsym_basis}:{nsym_basis}", passed, witness)
 
 
-def _solomon_checks(n: int) -> tuple:
+def _solomon_checks(n: int):
     comps = compositions_of(n)
-    checks = []
     for alpha in comps:
         xi_alpha = xi(alpha)
         for beta in comps:
             product = convolve(xi_alpha, xi(beta))
-            name = f"solomon/{_format_composition(alpha)};{_format_composition(beta)}"
+            name = f"solomon/{format_composition(alpha)};{format_composition(beta)}"
             if descent_span_coordinates(product) is None:
-                checks.append(Check(name, False, "product left the descent span"))
+                yield Check(name, False, "product left the descent span")
                 continue
             got = theta(product)
             want = class_products(young_character(alpha), young_character(beta), "pointwise")
             witness = "" if got == want else f"theta image {got.values} != {want.values}"
-            checks.append(Check(name, got == want, witness))
-    return tuple(checks)
+            yield Check(name, got == want, witness)
+
+
+_CHECKS = {
+    "main-theorem": character_checks,
+    "duality": _duality_checks,
+    "solomon": _solomon_checks,
+    "square": square_checks,
+}
+
+SUITES = (*_CHECKS, "all")
 
 
 def run_suite(suite: str, n: int) -> VerificationReport:
-    if suite == "main-theorem":
-        return VerificationReport(n, _main_theorem_checks(n))
-    if suite == "duality":
-        return VerificationReport(n, _duality_checks(n))
-    if suite == "solomon":
-        return VerificationReport(n, _solomon_checks(n))
-    if suite == "square":
-        return VerificationReport(n, _square_checks(n))
     if suite == "all":
-        report = verify_main_theorem(n)
-        main = tuple(c for c in report.checks if c.name.startswith("noncommutative-character/"))
-        square = tuple(c for c in report.checks if c.name.startswith("commuting-square/"))
-        checks = main + _duality_checks(n) + _solomon_checks(n) + square
-        return VerificationReport(n, checks)
-    raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+        generators = _CHECKS.values()
+    elif suite in _CHECKS:
+        generators = (_CHECKS[suite],)
+    else:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    return VerificationReport(n, tuple(check for checks in generators for check in checks(n)))

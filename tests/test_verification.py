@@ -1,0 +1,67 @@
+"""The verify suites: one registry, the duality suite's matrices against the
+per-pair pairing, and the command line's own degree check."""
+
+import pytest
+
+from ncsf import (
+    NSymElement,
+    QSymElement,
+    compositions_of,
+    duality_pairing,
+    run_suite,
+    verify_main_theorem,
+)
+from ncsf.characters import character_checks, square_checks
+from ncsf.cli import main
+from ncsf.verification import duality_matrix
+
+DUAL_PAIRS = (("M", "H"), ("F", "R"), ("QS", "S"), ("YQS", "YS"))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_duality_matrix_matches_pairing(n):
+    comps = compositions_of(n)
+    for qsym_basis, nsym_basis in DUAL_PAIRS:
+        # a dual pair gives the identity, a mismatched pair does not
+        for nsym_other in (nsym_basis, "E"):
+            want = tuple(
+                tuple(
+                    duality_pairing(
+                        QSymElement(qsym_basis, {alpha: 1}),
+                        NSymElement(nsym_other, {beta: 1}),
+                    )
+                    for beta in comps
+                )
+                for alpha in comps
+            )
+            assert duality_matrix(qsym_basis, nsym_other, n) == want
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_all_concatenates_the_suites_in_order(n):
+    parts = [run_suite(suite, n).checks for suite in ("main-theorem", "duality", "solomon", "square")]
+    assert run_suite("all", n).checks == sum(parts, ())
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_main_theorem_is_the_character_and_square_checks(n):
+    checks = verify_main_theorem(n).checks
+    assert checks == (*character_checks(n), *square_checks(n))
+    assert run_suite("main-theorem", n).checks == tuple(character_checks(n))
+    assert run_suite("square", n).checks == tuple(square_checks(n))
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite("everything", 2)
+
+
+def test_cli_refuses_duality_above_the_configured_bound(capsys, monkeypatch):
+    # the duality suite never builds a symmetric group, so only the
+    # command line's own degree check can refuse it
+    monkeypatch.setenv("NCSF_MAX_N", "4")
+    code = main(["verify", "duality", "-n", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "configured bound" in captured.err
+    assert captured.out == ""
