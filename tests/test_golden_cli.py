@@ -3,8 +3,8 @@
 ``golden_cli.json`` maps each command line (arguments joined by spaces) to
 its exit code and the SHA-256 of its stdout.  Every command runs in-process
 through ``ncsf.cli.main``.  The set covers ``matrix`` for every basis pair
-of every space at n <= 5 (JSON and CSV), ``expand`` for every basis pair and
-index at n <= 4, ``char --young``/``--irreducible`` at n <= 5, every
+of every space at n <= 5 (JSON and CSV) and in JSON at the larger degrees of
+``_LARGE``, ``expand`` for every basis pair and index at n <= 4, ``char --young``/``--irreducible`` at n <= 5, every
 ``verify`` suite at n <= 4 (text and ``--json``), and a few refusals.
 
 To record the digests again (only when an output is meant to change):
@@ -32,6 +32,8 @@ _SPACES = {
     "nsym": (("E", "H", "R", "S", "YS"), compositions_of),
 }
 _SUITES = ("main-theorem", "duality", "solomon", "square", "all")
+# degrees above 5 at which every ``matrix`` basis pair is pinned, in JSON
+_LARGE = {"sym": (6, 7), "qsym": (6,), "nsym": (6,)}
 
 
 def _label(index) -> str:
@@ -48,6 +50,12 @@ def _commands() -> dict:
             for b in bases
             for n in range(1, 6)
             for fmt in ("json", "csv")
+        ]
+        groups[f"matrix-{space}-large"] = [
+            ["matrix", "--space", space, "--from", a, "--to", b, "-n", str(n), "--format", "json"]
+            for a in bases
+            for b in bases
+            for n in _LARGE[space]
         ]
         groups[f"expand-{space}"] = [
             ["expand", "--space", space, "--from", a, "--to", b, "--index", _label(index)]
