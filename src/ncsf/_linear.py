@@ -45,18 +45,19 @@ def product_terms(x: dict, y: dict, combine) -> dict:
     for i1, c1 in x.items():
         for i2, c2 in y.items():
             idx = combine(i1, i2)
-            out[idx] = out.get(idx, Fraction(0)) + c1 * c2
+            out[idx] = out.get(idx, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
 
 
 def dense_rows(rows, index: dict) -> Matrix:
     """A matrix from sparse rows: each row maps indices to coefficients and
-    ``index`` gives the column of each index."""
+    ``index`` gives the column of each index.  Coefficients are stored as
+    given, so integer rows make an integer matrix."""
     out = []
     for row in rows:
-        dense = [Fraction(0)] * len(index)
+        dense = [0] * len(index)
         for idx, c in row.items():
-            dense[index[idx]] = Fraction(c)
+            dense[index[idx]] = c
         out.append(tuple(dense))
     return tuple(out)
 

@@ -116,14 +116,22 @@ def descent_composition_perm(sigma: Permutation) -> Composition:
     return comp_of(descent_set_perm(sigma), len(sigma))
 
 
-@cache
 def descent_classes(n: int) -> dict[tuple[int, ...], tuple[Permutation, ...]]:
-    """Permutations of [n] grouped by descent set."""
+    """Permutations of [n] grouped by descent set.  The degree bound is
+    checked on every call, cached or not."""
     _check_degree(n)
+    return _descent_classes(n)
+
+
+@cache
+def _descent_classes(n: int) -> dict[tuple[int, ...], tuple[Permutation, ...]]:
     classes: dict[tuple[int, ...], list[Permutation]] = {}
     for sigma in permutations(range(1, n + 1)):
         classes.setdefault(descent_set_perm(sigma), []).append(sigma)
     return {key: tuple(value) for key, value in classes.items()}
+
+
+descent_classes.cache_info = _descent_classes.cache_info
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ matrices built here are cached:
 * R -> H by the signed sum over coarsenings, H -> R by the unsigned one;
 * R expands in YS and in S by the transposes of the F expansions of the
   dual QSym bases YQS and QS (SYCT counts); the S and YS directions come
-  from exact inverses of those expansions.
+  from inverting those unitriangular integer expansions by substitution.
 
 The dual pairing with quasisymmetric functions and the forgetful map onto
 Sym live here as well.
@@ -33,7 +33,7 @@ from .compositions import (
     reversal,
     underlying_partition,
 )
-from .linalg import Matrix, invert, matmul, transpose
+from .linalg import Matrix, invert_unitriangular, matmul, transpose
 from .qsym import QSYM, QSymElement, qsym_convert
 from .sym import SymElement
 
@@ -81,7 +81,8 @@ def _to_h_matrix(basis: str, n: int) -> Matrix:
             for alpha in comps
         )
         return dense_rows(rows, index)
-    return matmul(invert(_r_in_schur_matrix(basis, n)), _to_h_matrix("R", n))  # S, YS
+    # S, YS
+    return matmul(invert_unitriangular(_r_in_schur_matrix(basis, n)), _to_h_matrix("R", n))
 
 
 @cache

@@ -6,11 +6,13 @@ Schur ``QS``, and Young quasisymmetric Schur ``YQS``.  The space is the
 ``F``; the per-degree matrices built here are cached:
 
 * F -> M is the refinement sum F_alpha = sum over beta refining alpha of
-  M_beta; M -> F is its exact inverse;
+  M_beta; M -> F is its Moebius inverse, the same sum with the sign
+  (-1)^(len(beta) - len(alpha));
 * YQS -> F has the SYCT counts: the (alpha, beta) entry counts SYCTs of
   shape alpha with descent composition beta;
 * QS -> F is the same with both indices reversed;
-* the remaining directions are exact matrix inverses.
+* F -> QS and F -> YQS invert those integer matrices by substitution: they
+  are unitriangular in a suitable order of the compositions.
 
 This module also holds the two bridges with Sym: the monomial embedding
 and its partial inverse ``symmetric_part``.
@@ -33,7 +35,7 @@ from .compositions import (
     reversal,
     underlying_partition,
 )
-from .linalg import Matrix, invert
+from .linalg import Matrix, invert_unitriangular
 from .sym import SymElement, sym_convert
 from .tableaux import dhat_matrix
 
@@ -65,10 +67,13 @@ def compositions_with_underlying(lam: Partition) -> tuple[Composition, ...]:
 @cache
 def _to_f_matrix(basis: str, n: int) -> Matrix:
     if basis == "M":
-        return invert(_from_f_matrix("M", n))
+        rows = (
+            {beta: -1 if (len(beta) - len(alpha)) % 2 else 1 for beta in refinements(alpha)}
+            for alpha in compositions_of(n)
+        )
+        return dense_rows(rows, composition_index(n))
     if basis == "YQS":
-        dhat = dhat_matrix(n) if n else ((1,),)
-        return tuple(tuple(Fraction(x) for x in row) for row in dhat)
+        return dhat_matrix(n) if n else ((1,),)
     # QS: the YQS matrix with both indices reversed
     comps, index = compositions_of(n), composition_index(n)
     yqs = _to_f_matrix("YQS", n)
@@ -83,7 +88,7 @@ def _from_f_matrix(basis: str, n: int) -> Matrix:
     if basis == "M":
         rows = (dict.fromkeys(refinements(alpha), 1) for alpha in compositions_of(n))
         return dense_rows(rows, composition_index(n))
-    return invert(_to_f_matrix(basis, n))
+    return invert_unitriangular(_to_f_matrix(basis, n))
 
 
 QSYM = Space(

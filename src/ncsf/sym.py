@@ -9,14 +9,16 @@ per-degree matrices built here once and cached:
 
 * e <-> h by the alternating sums over compositions of each part,
 * p <-> h by the Newton recurrences r*h_r = sum_k p_k h_{r-k},
-* s -> h by the Jacobi-Trudi determinant, h -> s by exact inversion,
+* s -> h by the Jacobi-Trudi determinant, h -> s by inverting it by
+  substitution (it is unitriangular in dominance order),
 * m <-> p by the ordered-block-sum expansion of p_mu in monomials and
   its exact inverse.
+
+Only the p and m matrices hold Fractions; the others are integer.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 
 from ._linear import Element, Space, convert, dense_rows, product_terms
 from ._linear import transition_matrix as _transition_matrix
@@ -27,7 +29,7 @@ from .compositions import (
     partition_index,
     partitions_of,
 )
-from .linalg import Matrix, invert, matmul
+from .linalg import Matrix, invert, invert_unitriangular, matmul
 
 __all__ = [
     "SYM_BASES",
@@ -49,7 +51,7 @@ def _merge(a: Partition, b: Partition) -> Partition:
 
 def _product_row(factors) -> dict:
     """Product of expansions over a multiplicative partition-indexed basis."""
-    row = {(): Fraction(1)}
+    row = {(): 1}
     for factor in factors:
         row = product_terms(row, factor, _merge)
     return row
@@ -64,7 +66,7 @@ def _alternating_row(r: int) -> dict:
         idx = tuple(sorted(beta, reverse=True))
         sign = -1 if (len(beta) - r) % 2 else 1
         out[idx] = out.get(idx, 0) + sign
-    return {k: Fraction(v) for k, v in out.items() if v}
+    return {k: v for k, v in out.items() if v}
 
 
 @cache
@@ -93,29 +95,26 @@ def _h_in_p(r: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _perm_sign(sigma) -> int:
-    inversions = sum(
-        1
-        for i in range(len(sigma))
-        for j in range(i + 1, len(sigma))
-        if sigma[i] > sigma[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 @cache
 def _jacobi_trudi_h(lam: Partition) -> dict:
-    """det(h_{lam_i - i + j}) expanded as a permutation sum, h-indexed."""
-    if not lam:
-        return {(): Fraction(1)}
-    ell = len(lam)
+    """det(h_{lam_i - i + j}) expanded as a signed sum over the permutations
+    whose every h index is nonnegative, h-indexed.  Rows are assigned
+    columns depth first; taking the free column of rank r flips the sign r
+    times, once per smaller free column left for a later row."""
     out = {}
-    for sigma in permutations(range(ell)):
-        exps = [lam[i] - (i + 1) + (sigma[i] + 1) for i in range(ell)]
-        if any(e < 0 for e in exps):
-            continue
-        idx = tuple(sorted((e for e in exps if e > 0), reverse=True))
-        out[idx] = out.get(idx, Fraction(0)) + _perm_sign(sigma)
+
+    def expand(i, free, sign, exps):
+        if i == len(lam):
+            idx = tuple(sorted((e for e in exps if e), reverse=True))
+            out[idx] = out.get(idx, 0) + sign
+            return
+        for rank, j in enumerate(free):
+            e = lam[i] - i + j
+            if e >= 0:
+                rest = free[:rank] + free[rank + 1 :]
+                expand(i + 1, rest, -sign if rank % 2 else sign, exps + (e,))
+
+    expand(0, tuple(range(len(lam))), 1, ())
     return {k: v for k, v in out.items() if v}
 
 
@@ -123,29 +122,25 @@ def _ordered_block_count(mu: Partition, lam: Partition) -> int:
     """Assignments of the parts of mu to len(lam) labeled blocks with block
     j summing to lam[j]; the coefficient of the monomial basis element m_lam
     in p_mu."""
-    remaining = list(lam)
 
-    def rec(i):
+    @cache
+    def rec(i, remaining):
         if i == len(mu):
             return 1
-        part = mu[i]
-        total = 0
-        for j, cap in enumerate(remaining):
-            if cap >= part:
-                remaining[j] = cap - part
-                total += rec(i + 1)
-                remaining[j] = cap
-        return total
+        return sum(
+            rec(i + 1, remaining[:j] + (cap - mu[i],) + remaining[j + 1 :])
+            for j, cap in enumerate(remaining)
+            if cap >= mu[i]
+        )
 
-    return rec(0)
+    return rec(0, tuple(lam))
 
 
 @cache
 def _p_in_m_matrix(n: int) -> Matrix:
     parts_list = partitions_of(n)
     return tuple(
-        tuple(Fraction(_ordered_block_count(mu, lam)) for lam in parts_list)
-        for mu in parts_list
+        tuple(_ordered_block_count(mu, lam) for lam in parts_list) for mu in parts_list
     )
 
 
@@ -173,7 +168,7 @@ def _from_h_matrix(basis: str, n: int) -> Matrix:
     if basis == "p":
         return _multiplicative(_h_in_p, n)
     if basis == "s":
-        return invert(_to_h_matrix("s", n))
+        return invert_unitriangular(_to_h_matrix("s", n))
     return matmul(_from_h_matrix("p", n), _p_in_m_matrix(n))  # m
 
 

@@ -3,12 +3,15 @@
 Everything here recomputes expected values by a route different from the
 library code under test: hook lengths for tableau counts, border-strip
 recursion for character values, explicit coset counting for induced
-characters, and brute-force filtering for tableau enumeration.
+characters, brute-force filtering for tableau enumeration, the full
+permutation sum for Jacobi-Trudi determinants, every assignment of parts
+to blocks for monomial coefficients of power sums, and cut-set inclusion
+for the Moebius function of the refinement order.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import accumulate, permutations, product
 from math import factorial
 
 from ncsf import is_valid_syct, sym_convert, z_stat
@@ -148,3 +151,51 @@ def brute_force_syct_rows(alpha) -> set:
                 )
             )
     return out
+
+
+def _perm_sign(sigma) -> int:
+    inversions = sum(
+        1
+        for i in range(len(sigma))
+        for j in range(i + 1, len(sigma))
+        if sigma[i] > sigma[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def jacobi_trudi_by_permutations(lam) -> dict:
+    """det(h_{lam_i - i + j}) expanded over all len(lam)! permutations,
+    h-indexed; a term with a negative h index vanishes."""
+    if not lam:
+        return {(): 1}
+    ell = len(lam)
+    out = {}
+    for sigma in permutations(range(ell)):
+        exps = [lam[i] - (i + 1) + (sigma[i] + 1) for i in range(ell)]
+        if any(e < 0 for e in exps):
+            continue
+        idx = tuple(sorted((e for e in exps if e > 0), reverse=True))
+        out[idx] = out.get(idx, 0) + _perm_sign(sigma)
+    return {k: v for k, v in out.items() if v}
+
+
+def block_count_by_assignments(mu, lam) -> int:
+    """The coefficient of m_lam in p_mu: every map from the parts of mu to
+    len(lam) labeled blocks, kept when block j sums to lam[j]."""
+    target = list(lam)
+    count = 0
+    for blocks in product(range(len(lam)), repeat=len(mu)):
+        sums = [0] * len(lam)
+        for part, block in zip(mu, blocks):
+            sums[block] += part
+        count += sums == target
+    return count
+
+
+def moebius_refinement(alpha, beta) -> int:
+    """The Moebius function of the refinement order at (beta, alpha): the
+    sign (-1)^(len(beta) - len(alpha)) when the cut set of beta contains
+    that of alpha, else 0."""
+    if not set(accumulate(alpha)) <= set(accumulate(beta)):
+        return 0
+    return -1 if (len(beta) - len(alpha)) % 2 else 1

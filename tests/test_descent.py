@@ -21,6 +21,7 @@ from ncsf import (
     set_of,
     xi,
 )
+from ncsf.descent import descent_classes
 from ncsf.errors import (
     DegreeMismatchError,
     NotInDescentSpanError,
@@ -178,6 +179,17 @@ def test_degree_bound_is_enforced(monkeypatch):
         xi((5,))
     monkeypatch.setenv("NCSF_MAX_N", "5")
     assert len(xi((5,)).terms) == 1
+
+
+def test_degree_bound_is_checked_on_cached_calls(monkeypatch):
+    monkeypatch.delenv("NCSF_MAX_N", raising=False)
+    assert len(descent_classes(6)) == 32
+    hits = descent_classes.cache_info().hits
+    assert len(descent_classes(6)) == 32
+    assert descent_classes.cache_info().hits == hits + 1
+    monkeypatch.setenv("NCSF_MAX_N", "4")
+    with pytest.raises(ResourceLimitError):
+        descent_classes(6)
 
 
 def test_default_degree_bound(monkeypatch):

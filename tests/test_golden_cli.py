@@ -4,8 +4,10 @@
 its exit code and the SHA-256 of its stdout.  Every command runs in-process
 through ``ncsf.cli.main``.  The set covers ``matrix`` for every basis pair
 of every space at n <= 5 (JSON and CSV) and in JSON at the larger degrees of
-``_LARGE``, ``expand`` for every basis pair and index at n <= 4, ``char --young``/``--irreducible`` at n <= 5, every
-``verify`` suite at n <= 4 (text and ``--json``), and a few refusals.
+``_LARGE``, ``expand`` for every basis pair and index at n <= 4,
+``char --young``/``--irreducible`` at n <= 5, every ``verify`` suite at
+n <= 4 (text and ``--json``), and a few refusals.  One more test checks
+QSym's M -> F matrix at n = 10 entry by entry against the Moebius sign sum.
 
 To record the digests again (only when an output is meant to change):
 
@@ -23,6 +25,8 @@ import pytest
 
 from ncsf.cli import main
 from ncsf.compositions import compositions_of, partitions_of
+
+from oracles import moebius_refinement
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -116,6 +120,20 @@ def test_golden_file_has_no_stale_commands():
     golden = json.loads(GOLDEN.read_text())
     expected = {" ".join(argv) for argvs in _commands().values() for argv in argvs}
     assert set(golden) == expected
+
+
+def test_m_to_f_matrix_at_degree_ten_is_the_moebius_sign_sum(monkeypatch):
+    monkeypatch.setenv("NCSF_MAX_N", "10")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["matrix", "--space", "qsym", "--from", "M", "--to", "F", "-n", "10"])
+    assert code == 0
+    payload = json.loads(out.getvalue())
+    order = [tuple(idx) for idx in payload["order"]]
+    assert order == list(compositions_of(10))
+    # column alpha holds the F coordinates of M_alpha
+    for beta, row in zip(order, payload["matrix"]):
+        assert [int(x) for x in row] == [moebius_refinement(alpha, beta) for alpha in order]
 
 
 if __name__ == "__main__":
