@@ -75,12 +75,10 @@ def _to_f_matrix(basis: str, n: int) -> Matrix:
     if basis == "YQS":
         return dhat_matrix(n) if n else ((1,),)
     # QS: the YQS matrix with both indices reversed
-    comps, index = compositions_of(n), composition_index(n)
+    index = composition_index(n)
     yqs = _to_f_matrix("YQS", n)
-    return tuple(
-        tuple(yqs[index[reversal(alpha)]][index[reversal(beta)]] for beta in comps)
-        for alpha in comps
-    )
+    reversed_at = [index[reversal(alpha)] for alpha in compositions_of(n)]
+    return tuple(tuple(yqs[a][b] for b in reversed_at) for a in reversed_at)
 
 
 @cache

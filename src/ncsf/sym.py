@@ -100,7 +100,10 @@ def _jacobi_trudi_h(lam: Partition) -> dict:
     """det(h_{lam_i - i + j}) expanded as a signed sum over the permutations
     whose every h index is nonnegative, h-indexed.  Rows are assigned
     columns depth first; taking the free column of rank r flips the sign r
-    times, once per smaller free column left for a later row."""
+    times, once per smaller free column left for a later row.  Row k needs
+    a column j >= k - lam[k], a bound that grows with k, so a branch that
+    leaves a column free below the next row's bound is dropped: every
+    branch taken ends in a term."""
     out = {}
 
     def expand(i, free, sign, exps):
@@ -109,10 +112,10 @@ def _jacobi_trudi_h(lam: Partition) -> dict:
             out[idx] = out.get(idx, 0) + sign
             return
         for rank, j in enumerate(free):
-            e = lam[i] - i + j
-            if e >= 0:
-                rest = free[:rank] + free[rank + 1 :]
-                expand(i + 1, rest, -sign if rank % 2 else sign, exps + (e,))
+            rest = free[:rank] + free[rank + 1 :]
+            if rest and rest[0] < i + 1 - lam[i + 1]:
+                continue
+            expand(i + 1, rest, -sign if rank % 2 else sign, exps + (lam[i] - i + j,))
 
     expand(0, tuple(range(len(lam))), 1, ())
     return {k: v for k, v in out.items() if v}
