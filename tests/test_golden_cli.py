@@ -5,8 +5,9 @@ its exit code and the SHA-256 of its stdout.  Every command runs in-process
 through ``ncsf.cli.main``.  The set covers ``matrix`` for every basis pair
 of every space at n <= 5 (JSON and CSV) and in JSON at the larger degrees of
 ``_LARGE``, ``expand`` for every basis pair and index at n <= 4,
-``char --young``/``--irreducible`` at n <= 5, every ``verify`` suite at
-n <= 4 (text and ``--json``), and a few refusals.  One more test checks
+``char --young``/``--irreducible`` at n <= 5 and for every partition of
+6 and 7, every ``verify`` suite at n <= 4 and at the degrees of
+``_VERIFY_LARGE`` (text and ``--json``), and a few refusals.  One more test checks
 QSym's M -> F matrix at n = 10 entry by entry against the Moebius sign sum.
 
 To record the digests again (only when an output is meant to change):
@@ -38,6 +39,14 @@ _SPACES = {
 _SUITES = ("main-theorem", "duality", "solomon", "square", "all")
 # degrees above 5 at which every ``matrix`` basis pair is pinned, in JSON
 _LARGE = {"sym": (6, 7), "qsym": (6,), "nsym": (6,)}
+# degrees above 4 at which each ``verify`` suite is pinned, text and JSON
+_VERIFY_LARGE = {
+    "main-theorem": (5, 6),
+    "duality": (5, 6),
+    "solomon": (5,),
+    "square": (5, 6),
+    "all": (5,),
+}
 
 
 def _label(index) -> str:
@@ -75,6 +84,18 @@ def _commands() -> dict:
         ["verify", suite, "-n", str(n)] + extra
         for suite in _SUITES
         for n in range(1, 5)
+        for extra in ([], ["--json"])
+    ]
+    groups["char-large"] = [
+        ["char", f"--{kind}", _label(lam)]
+        for kind in ("young", "irreducible")
+        for n in (6, 7)
+        for lam in partitions_of(n)
+    ]
+    groups["verify-large"] = [
+        ["verify", suite, "-n", str(n)] + extra
+        for suite, degrees in _VERIFY_LARGE.items()
+        for n in degrees
         for extra in ([], ["--json"])
     ]
     groups["refusals"] = [
