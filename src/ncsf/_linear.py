@@ -26,16 +26,17 @@ _SCALARS = (int, Fraction)
 
 
 def normalize_terms(terms, check_index) -> dict:
-    """Canonicalize indices, coerce coefficients to Fraction, drop zeros."""
+    """Canonicalize indices, sum the coefficients of equal indices and drop
+    zeros.  Each coefficient is stored as an ``int`` when it is integral and
+    as a ``Fraction`` (denominator > 1) otherwise; a ``bool`` becomes an
+    ``int``."""
     out = {}
     for index, coeff in dict(terms).items():
         idx = check_index(index)
         if not isinstance(coeff, _SCALARS):
             raise TypeError(f"coefficients must be exact (int or Fraction): {coeff!r}")
-        c = Fraction(coeff)
-        if c:
-            out[idx] = out.get(idx, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
+        out[idx] = out.get(idx, 0) + coeff
+    return {k: v.numerator if v.denominator == 1 else v for k, v in out.items() if v}
 
 
 def product_terms(x: dict, y: dict, combine) -> dict:
@@ -81,7 +82,7 @@ class LinearCombinationOps:
             raise self._mismatch(other)
         merged = dict(self.terms)
         for idx, c in other.terms.items():
-            merged[idx] = merged.get(idx, Fraction(0)) + sign * c
+            merged[idx] = merged.get(idx, 0) + sign * c
         return type(self)(tag, merged)
 
     def __add__(self, other):
@@ -142,7 +143,7 @@ class Element(LinearCombinationOps):
 
 def _apply_matrix(terms: dict, matrix: Matrix, space: Space, n: int) -> dict:
     indices, index = space.indices(n), space.index(n)
-    out = [Fraction(0)] * len(indices)
+    out = [0] * len(indices)
     for idx, c in terms.items():
         for j, entry in enumerate(matrix[index[idx]]):
             if entry:

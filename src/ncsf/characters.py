@@ -58,7 +58,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """A map from the partitions of n (cycle types) to exact rationals."""
+    """A map from the partitions of n (cycle types) to exact rationals.
+    Unlike element coefficients, every value is stored as a ``Fraction``,
+    even an integral one, so that dividing a value stays exact."""
 
     n: int
     values: dict
@@ -90,7 +92,7 @@ def class_function(n: int, values) -> ClassFunction:
 
 def frobenius_ch(f: ClassFunction) -> SymElement:
     """sum over cycle types mu of f(mu)/z_mu times the power sum of mu."""
-    terms = {mu: value / z_stat(mu) for mu, value in f.values.items()}
+    terms = {mu: Fraction(value, z_stat(mu)) for mu, value in f.values.items()}
     return SymElement("p", terms)
 
 
@@ -106,7 +108,7 @@ def ch_inverse(g: SymElement) -> ClassFunction:
     n = degrees.pop()
     values = {}
     for mu in partitions_of(n):
-        value = z_stat(mu) * gp.terms.get(mu, Fraction(0))
+        value = z_stat(mu) * gp.terms.get(mu, 0)
         if value.denominator != 1:
             raise InternalConsistencyError(
                 f"non-integral character value {value} at cycle type {mu}"
@@ -121,7 +123,7 @@ def young_character(alpha) -> ClassFunction:
     of ``alpha``; depends only on the underlying partition."""
     alpha = check_composition(alpha)
     lam = underlying_partition(alpha)
-    return ch_inverse(SymElement("h", {lam: Fraction(1)}))
+    return ch_inverse(SymElement("h", {lam: 1}))
 
 
 @cache
@@ -154,9 +156,9 @@ def theta(d: GroupAlgebraElement) -> ClassFunction:
         )
     n = d.n
     if n == 0:
-        return ClassFunction(0, {(): coords.get((), Fraction(0))})
+        return ClassFunction(0, {(): coords.get((), 0)})
     # mobius inversion over subsets of the cut set: delta coords -> xi coords
-    xi_coords: dict[Composition, Fraction] = {}
+    xi_coords: dict[Composition, int | Fraction] = {}
     for beta, c in coords.items():
         cuts = [sum(beta[: i + 1]) for i in range(len(beta) - 1)]
         for mask in range(1 << len(cuts)):
@@ -166,13 +168,15 @@ def theta(d: GroupAlgebraElement) -> ClassFunction:
                 b - a
                 for a, b in zip([0] + subset, subset + [n])
             )
-            xi_coords[alpha] = xi_coords.get(alpha, Fraction(0)) + sign * c
-    values = {mu: Fraction(0) for mu in partitions_of(n)}
+            xi_coords[alpha] = xi_coords.get(alpha, 0) + sign * c
+    values = {mu: 0 for mu in partitions_of(n)}
     for alpha, c in xi_coords.items():
         if not c:
             continue
+        # Young character values are integers, so integer coordinates
+        # accumulate in int arithmetic
         for mu, value in young_character(alpha).values.items():
-            values[mu] += c * value
+            values[mu] += c * value.numerator
     return ClassFunction(n, values)
 
 
@@ -184,7 +188,7 @@ def noncommutative_character(alpha, family: str) -> GroupAlgebraElement:
     if family not in ("S", "YS"):
         raise ValueError(f"family must be 'S' or 'YS': {family!r}")
     alpha = check_composition(alpha)
-    return psi_inverse(NSymElement(family, {alpha: Fraction(1)}))
+    return psi_inverse(NSymElement(family, {alpha: 1}))
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,7 @@ def square_checks(n: int):
     for alpha in compositions_of(n):
         lhs = sym_convert(frobenius_ch(theta(xi(alpha))), "h")
         rhs = forgetful_map(psi(xi(alpha)))
-        expected = SymElement("h", {underlying_partition(alpha): Fraction(1)})
+        expected = SymElement("h", {underlying_partition(alpha): 1})
         passed = lhs == rhs == expected
         name = f"commuting-square/{format_composition(alpha)}"
         witness = "" if passed else f"ch.theta {lhs.terms} vs forgetful.psi {rhs.terms}"

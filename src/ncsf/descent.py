@@ -14,7 +14,6 @@ ResourceLimitError: degree 9 already means 362880 basis permutations.
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations
 
@@ -54,9 +53,12 @@ def max_group_degree() -> int:
     if value is None or not value.strip():
         return DEFAULT_MAX_DEGREE
     try:
-        return int(value)
+        bound = int(value)
     except ValueError:
-        raise ValueError(f"NCSF_MAX_N must be an integer: {value!r}") from None
+        bound = -1
+    if bound < 0:
+        raise ValueError(f"NCSF_MAX_N must be a nonnegative integer: {value!r}")
+    return bound
 
 
 def _check_degree(n: int) -> None:
@@ -196,9 +198,10 @@ def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElem
         raise DegreeMismatchError(f"degrees differ: {a.n} vs {b.n}")
     out = {}
     for sigma, c1 in a.terms.items():
+        image = (0, *sigma).__getitem__
         for tau, c2 in b.terms.items():
-            product = tuple(sigma[t - 1] for t in tau)
-            out[product] = out.get(product, Fraction(0)) + c1 * c2
+            product = tuple(map(image, tau))
+            out[product] = out.get(product, 0) + c1 * c2
     return GroupAlgebraElement(a.n, out)
 
 
@@ -207,10 +210,11 @@ def descent_span_coordinates(a: GroupAlgebraElement):
     if some descent class does not carry a constant coefficient."""
     coords = {}
     for descents, sigmas in descent_classes(a.n).items():
-        value = a.terms.get(sigmas[0], Fraction(0))
-        for sigma in sigmas[1:]:
-            if a.terms.get(sigma, Fraction(0)) != value:
-                return None
+        # a permutation without a term reads None; zeros are never stored
+        values = set(map(a.terms.get, sigmas))
+        if len(values) > 1:
+            return None
+        value = values.pop()
         if value:
             key = comp_of(descents, a.n) if a.n else ()
             coords[key] = value
@@ -240,8 +244,7 @@ def psi_inverse(f: NSymElement) -> GroupAlgebraElement:
         )
     n = degrees.pop()
     _check_degree(n)
-    out = {}
-    for alpha, c in r.terms.items():
-        for sigma in descent_classes(n)[_cut_points(alpha)]:
-            out[sigma] = out.get(sigma, Fraction(0)) + c
+    classes = descent_classes(n)
+    # distinct compositions have disjoint descent classes
+    out = {sigma: c for alpha, c in r.terms.items() for sigma in classes[_cut_points(alpha)]}
     return GroupAlgebraElement(n, out)

@@ -113,7 +113,7 @@ def nsym_element(basis: str, terms) -> NSymElement:
 
 
 def nsym_basis_element(basis: str, alpha) -> NSymElement:
-    return NSymElement(basis, {check_composition(alpha): Fraction(1)})
+    return NSymElement(basis, {check_composition(alpha): 1})
 
 
 def nsym_convert(x: NSymElement, target: str) -> NSymElement:
@@ -142,15 +142,15 @@ def forgetful_map(x: NSymElement) -> SymElement:
     out = {}
     for alpha, c in xh.terms.items():
         lam = underlying_partition(alpha)
-        out[lam] = out.get(lam, Fraction(0)) + c
+        out[lam] = out.get(lam, 0) + c
     return SymElement("h", out)
 
 
-def duality_pairing(q: QSymElement, f: NSymElement) -> Fraction:
+def duality_pairing(q: QSymElement, f: NSymElement) -> int | Fraction:
     """The bilinear pairing with <F_alpha, R_beta> = delta_{alpha beta}."""
     qf = qsym_convert(q, "F")
     fr = nsym_convert(f, "R")
-    total = Fraction(0)
+    total = 0
     for alpha, c in qf.terms.items():
         other = fr.terms.get(alpha)
         if other:

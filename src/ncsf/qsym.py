@@ -18,7 +18,6 @@ This module also holds the two bridges with Sym: the monomial embedding
 and its partial inverse ``symmetric_part``.
 """
 
-from fractions import Fraction
 from functools import cache
 from itertools import permutations as _permutations
 
@@ -106,7 +105,7 @@ def qsym_element(basis: str, terms) -> QSymElement:
 
 
 def qsym_basis_element(basis: str, alpha) -> QSymElement:
-    return QSymElement(basis, {check_composition(alpha): Fraction(1)})
+    return QSymElement(basis, {check_composition(alpha): 1})
 
 
 def qsym_convert(x: QSymElement, target: str) -> QSymElement:
@@ -133,7 +132,7 @@ def symmetric_part(x: QSymElement):
             continue
         seen.add(lam)
         for beta in compositions_with_underlying(lam):
-            if m.terms.get(beta, Fraction(0)) != c:
+            if m.terms.get(beta, 0) != c:
                 return None
         out[lam] = c
     return SymElement("m", out)
@@ -146,7 +145,7 @@ def embed_sym_in_qsym(x: SymElement) -> QSymElement:
     out = {}
     for lam, c in xm.terms.items():
         for alpha in compositions_with_underlying(lam):
-            out[alpha] = out.get(alpha, Fraction(0)) + c
+            out[alpha] = out.get(alpha, 0) + c
     return QSymElement("M", out)
 
 

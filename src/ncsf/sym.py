@@ -192,7 +192,7 @@ def sym_element(basis: str, terms) -> SymElement:
 
 
 def sym_basis_element(basis: str, lam) -> SymElement:
-    return SymElement(basis, {check_partition(lam): Fraction(1)})
+    return SymElement(basis, {check_partition(lam): 1})
 
 
 def sym_convert(x: SymElement, target: str) -> SymElement:

@@ -5,8 +5,10 @@ library code under test: hook lengths for tableau counts, border-strip
 recursion for character values, explicit coset counting for induced
 characters, brute-force filtering for tableau enumeration, the full
 permutation sum for Jacobi-Trudi determinants, every assignment of parts
-to blocks for monomial coefficients of power sums, and cut-set inclusion
-for the Moebius function of the refinement order.
+to blocks for monomial coefficients of power sums, cut-set inclusion
+for the Moebius function of the refinement order, and Fraction arithmetic
+over one-line tuples for the group-ring product and the descent-class
+coordinates.
 """
 
 from fractions import Fraction
@@ -199,3 +201,35 @@ def moebius_refinement(alpha, beta) -> int:
     if not set(accumulate(alpha)) <= set(accumulate(beta)):
         return 0
     return -1 if (len(beta) - len(alpha)) % 2 else 1
+
+
+def convolve_by_fractions(a, b) -> dict:
+    """The terms of the group-ring product of ``a`` and ``b``, in Fraction
+    arithmetic: (sigma . tau)(i) = sigma(tau(i)) on one-line tuples."""
+    out = {}
+    for sigma, c1 in a.terms.items():
+        for tau, c2 in b.terms.items():
+            product = tuple(sigma[t - 1] for t in tau)
+            out[product] = out.get(product, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {k: v for k, v in out.items() if v}
+
+
+def descent_span_coordinates_by_fractions(a):
+    """Coordinates of ``a`` over the equal-descent-set class sums, keyed by
+    descent composition, or None when some class of S_n (grouped here by
+    enumeration) does not carry one constant Fraction coefficient."""
+    n = a.n
+    classes = {}
+    for sigma in permutations(range(1, n + 1)):
+        cuts = [i + 1 for i in range(n - 1) if sigma[i] > sigma[i + 1]]
+        key = tuple(b - c for c, b in zip([0] + cuts, cuts + [n])) if n else ()
+        classes.setdefault(key, []).append(sigma)
+    coords = {}
+    for key, sigmas in classes.items():
+        values = {Fraction(a.terms.get(sigma, 0)) for sigma in sigmas}
+        if len(values) > 1:
+            return None
+        value = values.pop()
+        if value:
+            coords[key] = value
+    return coords

@@ -257,6 +257,14 @@ def test_verify_out_of_bounds(capsys, monkeypatch):
     assert "bound" in err
 
 
+def test_negative_env_bound_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("NCSF_MAX_N", "-1")
+    code, out, err = run_cli(capsys, "verify", "main-theorem", "-n", "3")
+    assert code == 2
+    assert out == ""
+    assert "NCSF_MAX_N must be a nonnegative integer" in err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["expand", "--space", "plasma"])

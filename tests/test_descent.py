@@ -199,6 +199,15 @@ def test_default_degree_bound(monkeypatch):
         delta((9,))
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_degree_bound_must_be_a_nonnegative_integer(monkeypatch, value):
+    monkeypatch.setenv("NCSF_MAX_N", value)
+    with pytest.raises(ValueError, match="NCSF_MAX_N must be a nonnegative integer"):
+        max_group_degree()
+    with pytest.raises(ValueError, match="NCSF_MAX_N"):
+        xi((1, 2))
+
+
 def test_group_algebra_element_validation():
     with pytest.raises(ValueError):
         group_algebra_element(3, {(1, 1, 2): 1})

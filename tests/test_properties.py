@@ -6,8 +6,13 @@ degree at most 5: conversion round trips, conversion is linear, and each
 row of a transition matrix is the conversion of one basis element.  On
 random integer matrices: the substitution inverse of a unitriangular
 matrix with permuted indices is its inverse, equal to the Gauss-Jordan
-one, and on any matrix it either refuses or returns the inverse.  The
-examples are derandomized, so every run draws the same ones.
+one, and on any matrix it either refuses or returns the inverse.  On
+random group-algebra elements of degree at most 5: ``convolve`` and
+``descent_span_coordinates`` equal their Fraction oracles, and theta of a
+product of contained-descent-set sums is the pointwise product of Young
+characters.  Every stored coefficient is an ``int`` or a ``Fraction`` with
+denominator above 1, whatever operation made it.  The examples are
+derandomized, so every run draws the same ones.
 """
 
 from fractions import Fraction
@@ -20,12 +25,23 @@ from ncsf import (
     NSYM_BASES,
     QSYM_BASES,
     SYM_BASES,
+    ClassFunction,
+    GroupAlgebraElement,
     NSymElement,
     QSymElement,
     SymElement,
+    ch_inverse,
+    class_products,
+    convolve,
+    delta,
+    descent_span_coordinates,
     nsym_convert,
+    psi_inverse,
     qsym_convert,
     sym_convert,
+    theta,
+    xi,
+    young_character,
 )
 from ncsf.compositions import compositions_of, partitions_of
 from ncsf.errors import InternalConsistencyError
@@ -33,6 +49,8 @@ from ncsf.linalg import identity, invert, invert_unitriangular, matmul
 from ncsf.nsym import transition_matrix as nsym_transition_matrix
 from ncsf.qsym import transition_matrix as qsym_transition_matrix
 from ncsf.sym import transition_matrix as sym_transition_matrix
+
+from oracles import convolve_by_fractions, descent_span_coordinates_by_fractions
 
 TOP = 5
 
@@ -123,3 +141,95 @@ def test_substitution_inverse_refuses_or_is_right(data):
         return
     assert matmul(inverse, m) == identity(k)
     assert matmul(m, inverse) == identity(k)
+
+
+# ints, bools and Fractions, some of them integral
+scalars = st.one_of(st.integers(-9, 9), st.booleans(), coefficients)
+
+
+@st.composite
+def group_elements(draw, n):
+    """A combination of equal-descent-set class sums, so often in the
+    descent span, plus up to three single permutations."""
+    x = GroupAlgebraElement(n, {})
+    for alpha in draw(st.lists(st.sampled_from(compositions_of(n)), max_size=3)):
+        x = x + draw(scalars) * delta(alpha)
+    sigmas = st.permutations(range(1, n + 1)).map(tuple)
+    return x + GroupAlgebraElement(n, draw(st.dictionaries(sigmas, scalars, max_size=3)))
+
+
+GROUP = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+
+
+@GROUP
+@given(data=st.data())
+def test_group_algebra_fast_paths_equal_their_oracles(data):
+    n = data.draw(st.integers(0, TOP))
+    a, b = data.draw(group_elements(n)), data.draw(group_elements(n))
+    product = convolve(a, b)
+    assert product.terms == convolve_by_fractions(a, b)
+    for x in (a, b, product):
+        assert descent_span_coordinates(x) == descent_span_coordinates_by_fractions(x)
+    if n:
+        alpha, beta = (data.draw(st.sampled_from(compositions_of(n))) for _ in range(2))
+        c = data.draw(scalars)
+        pointwise = class_products(young_character(alpha), young_character(beta), "pointwise")
+        want = ClassFunction(n, {mu: c * v for mu, v in pointwise.values.items()})
+        assert theta(convolve(c * xi(alpha), xi(beta))) == want
+
+
+def _stored_exactly(values) -> bool:
+    return all(
+        type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values
+    )
+
+
+MIXED_TERMS = {
+    space: st.dictionaries(
+        st.sampled_from([idx for n in range(TOP + 1) for idx in of_degree(n)]),
+        scalars,
+        max_size=5,
+    )
+    for space, (_, _, _, _, of_degree) in SPACES.items()
+}
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_stored_coefficients_are_int_or_a_proper_fraction(data):
+    c = data.draw(scalars)
+    for space, (cls, convert, _, bases, _) in SPACES.items():
+        source, target = (data.draw(st.sampled_from(bases)) for _ in range(2))
+        x, y = (cls(source, data.draw(MIXED_TERMS[space])) for _ in range(2))
+        for z in (x, x + y, x - y, -x, x * c, c * x, convert(x, target)):
+            assert _stored_exactly(z.terms.values())
+    n = data.draw(st.integers(1, TOP))
+    a, b = data.draw(group_elements(n)), data.draw(group_elements(n))
+    for z in (a, a + b, a - b, -a, a * c, convolve(a, b)):
+        assert _stored_exactly(z.terms.values())
+    basis = data.draw(st.sampled_from(NSYM_BASES))
+    f = NSymElement(basis, {alpha: data.draw(scalars) for alpha in compositions_of(n)})
+    assert _stored_exactly(psi_inverse(f).terms.values())
+    # class-function values are Fractions, so that dividing one stays exact
+    g = SymElement("s", {lam: data.draw(st.integers(1, 3)) for lam in partitions_of(n)})
+    for values in (theta(psi_inverse(f)).values, ch_inverse(g).values):
+        assert all(type(v) is Fraction for v in values.values())
+
+
+@pytest.mark.parametrize(
+    "cls,basis,index",
+    [
+        (SymElement, "h", (2, 1)),
+        (QSymElement, "F", (1, 2)),
+        (NSymElement, "R", (1, 2)),
+        (lambda n, terms: GroupAlgebraElement(n, terms), 3, (2, 3, 1)),
+    ],
+)
+def test_integral_coefficients_are_stored_as_int(cls, basis, index):
+    built = [cls(basis, {index: value}) for value in (3, Fraction(3), Fraction(6, 2))]
+    assert built[0] == built[1] == built[2]
+    assert all(x.terms == {index: 3} and type(x.terms[index]) is int for x in built)
+    half = cls(basis, {index: Fraction(1, 2)})
+    assert type((half + half).terms[index]) is int
+    assert type(cls(basis, {index: True}).terms[index]) is int
+    assert type((half * 2).terms[index]) is int
