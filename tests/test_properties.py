@@ -222,7 +222,7 @@ def test_stored_coefficients_are_int_or_a_proper_fraction(data):
         (SymElement, "h", (2, 1)),
         (QSymElement, "F", (1, 2)),
         (NSymElement, "R", (1, 2)),
-        (lambda n, terms: GroupAlgebraElement(n, terms), 3, (2, 3, 1)),
+        (GroupAlgebraElement, 3, (2, 3, 1)),
     ],
 )
 def test_integral_coefficients_are_stored_as_int(cls, basis, index):
