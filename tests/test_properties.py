@@ -70,16 +70,24 @@ PAIRS = [
 EXAMPLES = settings(derandomize=True, deadline=None, max_examples=15, database=None)
 
 coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+# ints, bools and Fractions, some of them integral
+scalars = st.one_of(st.integers(-9, 9), st.booleans(), coefficients)
 
 
-TERMS = {
-    space: st.dictionaries(
-        st.sampled_from([idx for n in range(TOP + 1) for idx in of_degree(n)]),
-        coefficients,
-        max_size=5,
-    )
-    for space, (_, _, _, _, of_degree) in SPACES.items()
-}
+def _terms(values) -> dict:
+    """Per space, random terms of mixed degree at most TOP."""
+    return {
+        space: st.dictionaries(
+            st.sampled_from([idx for n in range(TOP + 1) for idx in of_degree(n)]),
+            values,
+            max_size=5,
+        )
+        for space, (_, _, _, _, of_degree) in SPACES.items()
+    }
+
+
+TERMS = _terms(coefficients)
+MIXED_TERMS = _terms(scalars)
 
 
 @pytest.mark.parametrize("space,source,target", PAIRS)
@@ -143,10 +151,6 @@ def test_substitution_inverse_refuses_or_is_right(data):
     assert matmul(m, inverse) == identity(k)
 
 
-# ints, bools and Fractions, some of them integral
-scalars = st.one_of(st.integers(-9, 9), st.booleans(), coefficients)
-
-
 @st.composite
 def group_elements(draw, n):
     """A combination of equal-descent-set class sums, so often in the
@@ -182,16 +186,6 @@ def _stored_exactly(values) -> bool:
     return all(
         type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values
     )
-
-
-MIXED_TERMS = {
-    space: st.dictionaries(
-        st.sampled_from([idx for n in range(TOP + 1) for idx in of_degree(n)]),
-        scalars,
-        max_size=5,
-    )
-    for space, (_, _, _, _, of_degree) in SPACES.items()
-}
 
 
 @EXAMPLES
