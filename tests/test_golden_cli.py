@@ -3,8 +3,9 @@
 ``golden_cli.json`` maps each command line (arguments joined by spaces) to
 its exit code and the SHA-256 of its stdout.  Every command runs in-process
 through ``ncsf.cli.main``.  The set covers ``matrix`` for every basis pair
-of every space at n <= 5 (JSON and CSV) and in JSON at the larger degrees of
-``_LARGE``, ``expand`` for every basis pair and index at n <= 4,
+of every space at n <= 5 (JSON and CSV), in JSON at the larger degrees of
+``_LARGE`` and for every pair of distinct bases at the degrees of
+``_DISTINCT_LARGE``, ``expand`` for every basis pair and index at n <= 5,
 ``char --young``/``--irreducible`` at n <= 5 and for every partition of
 6 and 7, every ``verify`` suite at n <= 4 and at the degrees of
 ``_VERIFY_LARGE`` (text and ``--json``), and a few refusals.  One more test checks
@@ -39,6 +40,8 @@ _SPACES = {
 _SUITES = ("main-theorem", "duality", "solomon", "square", "all")
 # degrees above 5 at which every ``matrix`` basis pair is pinned, in JSON
 _LARGE = {"sym": (6, 7), "qsym": (6,), "nsym": (6,)}
+# further degrees at which every pair of distinct bases is pinned, in JSON
+_DISTINCT_LARGE = {"sym": (), "qsym": (7,), "nsym": (7,)}
 # degrees above 4 at which each ``verify`` suite is pinned, text and JSON
 _VERIFY_LARGE = {
     "main-theorem": (5, 6),
@@ -69,12 +72,18 @@ def _commands() -> dict:
             for a in bases
             for b in bases
             for n in _LARGE[space]
+        ] + [
+            ["matrix", "--space", space, "--from", a, "--to", b, "-n", str(n), "--format", "json"]
+            for a in bases
+            for b in bases
+            if a != b
+            for n in _DISTINCT_LARGE[space]
         ]
         groups[f"expand-{space}"] = [
             ["expand", "--space", space, "--from", a, "--to", b, "--index", _label(index)]
             for a in bases
             for b in bases
-            for n in range(5)
+            for n in range(6)
             for index in indices(n)
         ]
     groups["char"] = [
