@@ -7,6 +7,7 @@ has one row per degree-n element of basis ``b``, holding its hub
 coordinates; ``from_hub(b, n)`` holds the ``b`` coordinates of each hub
 element.  Every conversion and transition matrix goes through the hub, so
 a space module supplies only those builders and its own operations.
+Matrices are stored sparse (``linalg.Matrix``); only ``dense_rows`` densifies.
 
 An element is a frozen ``Element`` subclass that names its space; the
 subclass is its own type, so elements of different spaces never compare
@@ -17,10 +18,11 @@ operands must share: the basis here, the degree in the group algebra.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, ClassVar
 
 from .errors import BasisMismatchError
-from .linalg import Matrix, identity, matmul
+from .linalg import Matrix, from_rows, identity, matmul
 
 _SCALARS = (int, Fraction)
 
@@ -35,7 +37,7 @@ def normalize_terms(terms, check_index) -> dict:
         idx = check_index(index)
         if not isinstance(coeff, _SCALARS):
             raise TypeError(f"coefficients must be exact (int or Fraction): {coeff!r}")
-        out[idx] = out.get(idx, 0) + coeff
+        out[idx] = out[idx] + coeff if idx in out else coeff
     return {k: v.numerator if v.denominator == 1 else v for k, v in out.items() if v}
 
 
@@ -50,17 +52,23 @@ def product_terms(x: dict, y: dict, combine) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def dense_rows(rows, index: dict) -> Matrix:
-    """A matrix from sparse rows: each row maps indices to coefficients and
-    ``index`` gives the column of each index.  Coefficients are stored as
-    given, so integer rows make an integer matrix."""
-    out = []
-    for row in rows:
-        dense = [0] * len(index)
-        for idx, c in row.items():
-            dense[index[idx]] = c
-        out.append(tuple(dense))
-    return tuple(out)
+def matrix_of(rows, index: dict) -> Matrix:
+    """The stored matrix of rows {index: coefficient}; ``index`` gives columns."""
+    return from_rows({index[idx]: c for idx, c in row.items()} for row in rows)
+
+
+def _ratio(v: int, den: int):
+    return v // den if v % den == 0 else Fraction(v, den)
+
+
+def dense_rows(m: Matrix) -> tuple:
+    """The dense form of a stored matrix, a tuple of row tuples; an entry is
+    an ``int`` when it is integral and a ``Fraction`` otherwise."""
+    dense = [[0] * len(m.rows) for _ in m.rows]
+    for out, (cols, vals) in zip(dense, m.rows):
+        for j, x in zip(cols, vals):
+            out[j] = _ratio(x, m.den)
+    return tuple(map(tuple, dense))
 
 
 class LinearCombinationOps:
@@ -142,13 +150,17 @@ class Element(LinearCombinationOps):
 
 
 def _apply_matrix(terms: dict, matrix: Matrix, space: Space, n: int) -> dict:
-    indices, index = space.indices(n), space.index(n)
+    """The image of ``terms`` under a stored matrix, summed in ``int`` over the
+    terms' common denominator and divided once per coordinate."""
+    indices, index, rows = space.indices(n), space.index(n), matrix.rows
+    scale = lcm(*(c.denominator for c in terms.values()))
     out = [0] * len(indices)
     for idx, c in terms.items():
-        for j, entry in enumerate(matrix[index[idx]]):
-            if entry:
-                out[j] += c * entry
-    return {indices[j]: v for j, v in enumerate(out) if v}
+        c = c.numerator * (scale // c.denominator)
+        for j, entry in zip(*rows[index[idx]]):
+            out[j] += c * entry
+    den = scale * matrix.den
+    return {indices[j]: _ratio(v, den) for j, v in enumerate(out) if v}
 
 
 def convert_terms(space: Space, terms: dict, source: str, target: str) -> dict:
@@ -178,8 +190,9 @@ def convert(x: Element, target: str) -> Element:
 
 
 def transition_matrix(space: Space, source: str, target: str, n: int) -> Matrix:
-    """Row i expands the i-th degree-n ``source`` element in ``target``
-    coordinates; rows and columns in the space's canonical index order."""
+    """The stored matrix whose row i expands the i-th degree-n ``source``
+    element in ``target`` coordinates; rows and columns in the space's
+    canonical index order."""
     for basis in (source, target):
         space.check_basis(basis)
     if source == target:

@@ -229,8 +229,9 @@ def square_checks(n: int):
     """The commuting square ch(theta(xi)) = forgetful(psi(xi)) = h on the
     contained-descent-set sum xi of every composition of ``n``."""
     for alpha in compositions_of(n):
-        lhs = sym_convert(frobenius_ch(theta(xi(alpha))), "h")
-        rhs = forgetful_map(psi(xi(alpha)))
+        xi_alpha = xi(alpha)
+        lhs = sym_convert(frobenius_ch(theta(xi_alpha)), "h")
+        rhs = forgetful_map(psi(xi_alpha))
         expected = SymElement("h", {underlying_partition(alpha): 1})
         passed = lhs == rhs == expected
         name = f"commuting-square/{format_composition(alpha)}"

@@ -15,10 +15,11 @@ import argparse
 import sys
 
 from . import serialize
-from ._linear import convert_terms, transition_matrix
+from ._linear import convert_terms, dense_rows, transition_matrix
 from .compositions import partitions_of
 from .descent import max_group_degree
 from .errors import NcsfError
+from .linalg import transpose
 from .characters import irreducible_character, young_character
 from .nsym import NSYM
 from .qsym import QSYM
@@ -101,11 +102,10 @@ def _cmd_matrix(args) -> int:
     if n < 1:
         raise UsageError(f"degree must be at least 1: {n}")
     _check_bound(n)
-    rows = transition_matrix(space, source, target, n)
     order = space.indices(n)
     # row convention inside the library is "row = expansion of a source
     # element"; the emitted matrix maps coordinate vectors, so transpose
-    entries = list(zip(*rows))
+    entries = dense_rows(transpose(transition_matrix(space, source, target, n)))
     if args.format == "csv":
         print(",".join(_index_label(idx) for idx in order))
         for row in entries:

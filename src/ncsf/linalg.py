@@ -1,105 +1,100 @@
-"""Dense exact linear algebra for transition matrices; entries are int or
-Fraction."""
+"""Sparse exact linear algebra for transition matrices.
+
+A ``Matrix`` is stored only as sparse rows over one denominator ``den``:
+row i is a pair of tuples ``(cols, vals)``, the increasing positions of its
+nonzero entries and those entries as ints, each meaning ``val / den``.
+``den`` is the least one, so it is 1 for an integer matrix.  Products and
+transposes compute in ``int``; the triangular solve divides only by a
+diagonal entry other than 1.  Matrices are square.
+"""
 
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
+from math import lcm
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 
 __all__ = [
-    "Matrix", "identity", "matmul", "invert", "invert_unitriangular", "is_identity", "transpose",
+    "Matrix", "from_rows", "identity", "invert_unitriangular", "matmul", "solve_triangular",
+    "transpose",
 ]
 
-Matrix = tuple[tuple[int | Fraction, ...], ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+class Matrix(NamedTuple):
+    rows: tuple  # of (cols, vals)
+    den: int = 1
+
+
+def from_rows(rows, scale=1) -> Matrix:
+    """The matrix ``scale`` times ``rows``, dicts {column: int or Fraction},
+    without its zero entries, over the least common denominator."""
+    if scale != 1:
+        rows = [{j: x * scale for j, x in row.items()} for row in rows]
+    rows = [sorted((j, x) for j, x in row.items() if x) for row in rows]
+    den = lcm(*(x.denominator for row in rows for _, x in row))
+    pairs = ((tuple(j for j, _ in row), tuple(int(x * den) for _, x in row)) for row in rows)
+    return Matrix(tuple(pairs), den)
 
 
 def identity(k: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+    return Matrix(tuple(((i,), (1,)) for i in range(k)))
 
 
 def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
+    rows = [{} for _ in m.rows]
+    for i, row in enumerate(m.rows):
+        for j, x in zip(*row):
+            rows[j][i] = x
+    return from_rows(rows, Fraction(1, m.den))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     rows = []
-    for row in a:
-        out = [0] * (len(b[0]) if b else 0)
-        for coeff, brow in zip(row, b):
-            if not coeff:
-                continue
-            for j, entry in enumerate(brow):
-                if entry:
-                    out[j] += coeff * entry
-        rows.append(tuple(out))
-    return tuple(rows)
+    for row in a.rows:
+        out = {}
+        for j, x in zip(*row):
+            for col, y in zip(*b.rows[j]):
+                out[col] = out.get(col, 0) + x * y
+        rows.append(out)
+    return from_rows(rows, Fraction(1, a.den * b.den))
 
 
-def invert(m: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; exact, no pivoting heuristics needed over Q."""
-    k = len(m)
-    aug = [
-        [Fraction(x) for x in row] + [_ONE if i == j else _ZERO for j in range(k)]
-        for i, row in enumerate(m)
-    ]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if aug[r][col]), None)
-        if pivot is None:
-            raise InternalConsistencyError(
-                f"singular {k}x{k} matrix; a claimed basis is not a basis"
-            )
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        if scale != 1:
-            aug[col] = [x / scale for x in aug[col]]
-        for r in range(k):
-            if r == col or not aug[r][col]:
-                continue
-            factor = aug[r][col]
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[k:]) for row in aug)
+def solve_triangular(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix x with a x = b, for ``a`` with a nonzero diagonal whose
+    off-diagonal pattern is acyclic, i.e. triangular in some order of its
+    indices.  Row i of x is b[i] minus the sum of a[i][j] times row j of x
+    over j != i, divided by a[i][i]; rows are solved by back substitution
+    in a topological order.  Only a diagonal entry other than 1 divides, so
+    a unit diagonal and an integer ``b`` give an integer x."""
+    k = len(a.rows)
+    after = [dict(zip(*row)) for row in a.rows]
+    diagonal = [row.pop(i, 0) for i, row in enumerate(after)]
+    if not all(diagonal):
+        raise InternalConsistencyError(f"{k}x{k} matrix has a zero on its diagonal")
+    try:
+        order = tuple(TopologicalSorter(dict(enumerate(after))).static_order())
+    except CycleError:
+        raise InternalConsistencyError(
+            f"{k}x{k} matrix has a cycle off the diagonal; it is not triangular in any order"
+        ) from None
+    x = [None] * k
+    for i in order:  # each row after the rows it needs
+        row = dict(zip(*b.rows[i]))
+        for j, c in after[i].items():
+            for col, y in x[j].items():
+                row[col] = row.get(col, 0) - c * y
+        d = diagonal[i]
+        if d != 1:
+            row = {col: v // d if v % d == 0 else Fraction(v, d) for col, v in row.items()}
+        x[i] = row
+    return from_rows(x, Fraction(a.den, b.den))
 
 
 def invert_unitriangular(m: Matrix) -> Matrix:
-    """The inverse of a matrix with unit diagonal whose off-diagonal pattern
-    is acyclic, i.e. unitriangular in some order of its indices.  Row i of
-    the inverse is e_i minus the sum of m[i][j] times row j over j != i, so
-    rows are solved by back substitution in a topological order; no
-    division, so integer entries give an integer inverse."""
-    k = len(m)
-    if any(m[i][i] != 1 for i in range(k)):
+    """The inverse of a matrix with unit diagonal and an acyclic off-diagonal
+    pattern; an integer one has an integer inverse."""
+    k = len(m.rows)
+    if any(dict(zip(*row)).get(i) != m.den for i, row in enumerate(m.rows)):
         raise InternalConsistencyError(f"{k}x{k} matrix has a diagonal entry other than 1")
-    after = [{j: x for j, x in enumerate(row) if x and j != i} for i, row in enumerate(m)]
-    before = [[] for _ in range(k)]
-    for i, row in enumerate(after):
-        for j in row:
-            before[j].append(i)
-    unsolved = [len(row) for row in after]
-    order = [i for i in range(k) if not unsolved[i]]
-    inverse = [None] * k
-    for i in order:  # grows as rows become solvable
-        row = {i: 1}
-        for j, x in after[i].items():
-            for col, y in inverse[j].items():
-                row[col] = row.get(col, 0) - x * y
-        inverse[i] = row
-        for p in before[i]:
-            unsolved[p] -= 1
-            if not unsolved[p]:
-                order.append(p)
-    if len(order) < k:
-        raise InternalConsistencyError(
-            f"{k}x{k} matrix has a cycle off the diagonal; it is not unitriangular in any order"
-        )
-    return tuple(tuple(row.get(col, 0) for col in range(k)) for row in inverse)
-
-
-def is_identity(m: Matrix) -> bool:
-    return all(
-        entry == (1 if i == j else 0)
-        for i, row in enumerate(m)
-        for j, entry in enumerate(row)
-    )
+    return solve_triangular(m, identity(k))

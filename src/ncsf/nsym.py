@@ -11,8 +11,8 @@ matrices built here are cached:
   generators never collide);
 * R -> H by the signed sum over coarsenings, H -> R by the unsigned one;
 * R expands in YS and in S by the transposes of the F expansions of the
-  dual QSym bases YQS and QS (SYCT counts); the S and YS directions come
-  from inverting those unitriangular integer expansions by substitution.
+  dual QSym bases YQS and QS (SYCT counts); S -> H and YS -> H solve those
+  unitriangular integer expansions against R -> H by substitution.
 
 The dual pairing with quasisymmetric functions and the forgetful map onto
 Sym live here as well.
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from operator import add
 
-from ._linear import Element, Space, convert, dense_rows, product_terms
+from ._linear import Element, Space, convert, dense_rows, matrix_of, product_terms
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     check_composition,
@@ -33,7 +33,7 @@ from .compositions import (
     reversal,
     underlying_partition,
 )
-from .linalg import Matrix, invert_unitriangular, matmul, transpose
+from .linalg import Matrix, matmul, solve_triangular, transpose
 from .qsym import QSYM, QSymElement, qsym_convert
 from .sym import SymElement
 
@@ -74,15 +74,15 @@ def _to_h_matrix(basis: str, n: int) -> Matrix:
             {gamma: -1 if (len(gamma) - n) % 2 else 1 for gamma in refinements(alpha)}
             for alpha in comps
         )
-        return dense_rows(rows, index)
+        return matrix_of(rows, index)
     if basis == "R":
         rows = (
             {beta: -1 if (len(alpha) - len(beta)) % 2 else 1 for beta in coarsenings(alpha)}
             for alpha in comps
         )
-        return dense_rows(rows, index)
+        return matrix_of(rows, index)
     # S, YS
-    return matmul(invert_unitriangular(_r_in_schur_matrix(basis, n)), _to_h_matrix("R", n))
+    return solve_triangular(_r_in_schur_matrix(basis, n), _to_h_matrix("R", n))
 
 
 @cache
@@ -92,7 +92,7 @@ def _from_h_matrix(basis: str, n: int) -> Matrix:
     if basis == "R":
         # H_alpha is the unsigned sum of ribbon elements over coarsenings
         rows = (dict.fromkeys(coarsenings(alpha), 1) for alpha in compositions_of(n))
-        return dense_rows(rows, composition_index(n))
+        return matrix_of(rows, composition_index(n))
     return matmul(_from_h_matrix("R", n), _r_in_schur_matrix(basis, n))  # S, YS
 
 
@@ -150,15 +150,10 @@ def duality_pairing(q: QSymElement, f: NSymElement) -> int | Fraction:
     """The bilinear pairing with <F_alpha, R_beta> = delta_{alpha beta}."""
     qf = qsym_convert(q, "F")
     fr = nsym_convert(f, "R")
-    total = 0
-    for alpha, c in qf.terms.items():
-        other = fr.terms.get(alpha)
-        if other:
-            total += c * other
-    return total
+    return sum(c * fr.terms[alpha] for alpha, c in qf.terms.items() if alpha in fr.terms)
 
 
-def transition_matrix(source: str, target: str, n: int) -> Matrix:
+def transition_matrix(source: str, target: str, n: int) -> tuple:
     """Row i expands the i-th degree-n ``source`` element in ``target``
     coordinates; rows and columns in canonical composition order."""
-    return _transition_matrix(NSYM, source, target, n)
+    return dense_rows(_transition_matrix(NSYM, source, target, n))

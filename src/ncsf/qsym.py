@@ -21,7 +21,7 @@ and its partial inverse ``symmetric_part``.
 from functools import cache
 from itertools import permutations as _permutations
 
-from ._linear import Element, Space, convert, dense_rows
+from ._linear import Element, Space, convert, dense_rows, matrix_of
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     Composition,
@@ -34,9 +34,9 @@ from .compositions import (
     reversal,
     underlying_partition,
 )
-from .linalg import Matrix, invert_unitriangular
+from .linalg import Matrix, from_rows, identity, invert_unitriangular
 from .sym import SymElement, sym_convert
-from .tableaux import dhat_matrix
+from .tableaux import dhat_rows
 
 __all__ = [
     "QSYM_BASES",
@@ -70,21 +70,21 @@ def _to_f_matrix(basis: str, n: int) -> Matrix:
             {beta: -1 if (len(beta) - len(alpha)) % 2 else 1 for beta in refinements(alpha)}
             for alpha in compositions_of(n)
         )
-        return dense_rows(rows, composition_index(n))
+        return matrix_of(rows, composition_index(n))
     if basis == "YQS":
-        return dhat_matrix(n) if n else ((1,),)
+        return dhat_rows(n) if n else identity(1)
     # QS: the YQS matrix with both indices reversed
     index = composition_index(n)
-    yqs = _to_f_matrix("YQS", n)
+    yqs = _to_f_matrix("YQS", n).rows
     reversed_at = [index[reversal(alpha)] for alpha in compositions_of(n)]
-    return tuple(tuple(yqs[a][b] for b in reversed_at) for a in reversed_at)
+    return from_rows({reversed_at[b]: x for b, x in zip(*yqs[a])} for a in reversed_at)
 
 
 @cache
 def _from_f_matrix(basis: str, n: int) -> Matrix:
     if basis == "M":
         rows = (dict.fromkeys(refinements(alpha), 1) for alpha in compositions_of(n))
-        return dense_rows(rows, composition_index(n))
+        return matrix_of(rows, composition_index(n))
     return invert_unitriangular(_to_f_matrix(basis, n))
 
 
@@ -124,17 +124,10 @@ def symmetric_part(x: QSymElement):
     """The Sym preimage of ``x`` under the monomial embedding, in the m
     basis, or None if ``x`` is not symmetric."""
     m = qsym_convert(x, "M")
-    out = {}
-    seen = set()
-    for alpha, c in m.terms.items():
-        lam = underlying_partition(alpha)
-        if lam in seen:
-            continue
-        seen.add(lam)
-        for beta in compositions_with_underlying(lam):
-            if m.terms.get(beta, 0) != c:
-                return None
-        out[lam] = c
+    out = {underlying_partition(alpha): c for alpha, c in m.terms.items()}
+    for lam, c in out.items():
+        if any(m.terms.get(beta, 0) != c for beta in compositions_with_underlying(lam)):
+            return None
     return SymElement("m", out)
 
 
@@ -149,7 +142,7 @@ def embed_sym_in_qsym(x: SymElement) -> QSymElement:
     return QSymElement("M", out)
 
 
-def transition_matrix(source: str, target: str, n: int) -> Matrix:
+def transition_matrix(source: str, target: str, n: int) -> tuple:
     """Row i expands the i-th degree-n ``source`` element in ``target``
     coordinates; rows and columns in canonical composition order."""
-    return _transition_matrix(QSYM, source, target, n)
+    return dense_rows(_transition_matrix(QSYM, source, target, n))

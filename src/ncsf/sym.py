@@ -11,16 +11,16 @@ per-degree matrices built here once and cached:
 * p <-> h by the Newton recurrences r*h_r = sum_k p_k h_{r-k},
 * s -> h by the Jacobi-Trudi determinant, h -> s by inverting it by
   substitution (it is unitriangular in dominance order),
-* m <-> p by the ordered-block-sum expansion of p_mu in monomials and
-  its exact inverse.
+* m <-> h by triangular solves with p -> h (diagonal prod_i mu_i) and the
+  ordered-block-sum expansion of p_mu in monomials (diagonal prod_i m_i!).
 
-Only the p and m matrices hold Fractions; the others are integer.
+Only the h -> p matrix has entries that are not integers.
 """
 
 from fractions import Fraction
 from functools import cache
 
-from ._linear import Element, Space, convert, dense_rows, product_terms
+from ._linear import Element, Space, convert, dense_rows, matrix_of, product_terms
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     Partition,
@@ -29,7 +29,7 @@ from .compositions import (
     partition_index,
     partitions_of,
 )
-from .linalg import Matrix, invert, invert_unitriangular, matmul
+from .linalg import Matrix, invert_unitriangular, solve_triangular
 
 __all__ = [
     "SYM_BASES",
@@ -73,12 +73,12 @@ def _alternating_row(r: int) -> dict:
 def _p_in_h(r: int) -> dict:
     """p_r = r*h_r - sum_{k<r} p_k h_{r-k}."""
     if r == 0:
-        return {(): Fraction(1)}
-    out = {(r,): Fraction(r)}
+        return {(): 1}
+    out = {(r,): r}
     for k in range(1, r):
         for idx, c in _p_in_h(k).items():
             midx = _merge(idx, (r - k,))
-            out[midx] = out.get(midx, Fraction(0)) - c
+            out[midx] = out.get(midx, 0) - c
     return {k: v for k, v in out.items() if v}
 
 
@@ -142,15 +142,14 @@ def _ordered_block_count(mu: Partition, lam: Partition) -> int:
 @cache
 def _p_in_m_matrix(n: int) -> Matrix:
     parts_list = partitions_of(n)
-    return tuple(
-        tuple(_ordered_block_count(mu, lam) for lam in parts_list) for mu in parts_list
-    )
+    rows = ({lam: _ordered_block_count(mu, lam) for lam in parts_list} for mu in parts_list)
+    return matrix_of(rows, partition_index(n))
 
 
 def _multiplicative(generator_row, n: int) -> Matrix:
     """Row lam: the product over the parts r of lam of ``generator_row(r)``."""
     rows = (_product_row(map(generator_row, lam)) for lam in partitions_of(n))
-    return dense_rows(rows, partition_index(n))
+    return matrix_of(rows, partition_index(n))
 
 
 @cache
@@ -160,8 +159,8 @@ def _to_h_matrix(basis: str, n: int) -> Matrix:
     if basis == "p":
         return _multiplicative(_p_in_h, n)
     if basis == "s":
-        return dense_rows(map(_jacobi_trudi_h, partitions_of(n)), partition_index(n))
-    return matmul(invert(_p_in_m_matrix(n)), _to_h_matrix("p", n))  # m
+        return matrix_of(map(_jacobi_trudi_h, partitions_of(n)), partition_index(n))
+    return solve_triangular(_p_in_m_matrix(n), _to_h_matrix("p", n))  # m
 
 
 @cache
@@ -172,7 +171,7 @@ def _from_h_matrix(basis: str, n: int) -> Matrix:
         return _multiplicative(_h_in_p, n)
     if basis == "s":
         return invert_unitriangular(_to_h_matrix("s", n))
-    return matmul(_from_h_matrix("p", n), _p_in_m_matrix(n))  # m
+    return solve_triangular(_to_h_matrix("p", n), _p_in_m_matrix(n))  # m
 
 
 SYM = Space(
@@ -211,7 +210,7 @@ def schur(lam) -> SymElement:
     return SymElement("h", dict(_jacobi_trudi_h(check_partition(lam))))
 
 
-def transition_matrix(source: str, target: str, n: int) -> Matrix:
+def transition_matrix(source: str, target: str, n: int) -> tuple:
     """Row i expands the i-th degree-n ``source`` element in ``target``
     coordinates; rows and columns in reverse lexicographic partition order."""
-    return _transition_matrix(SYM, source, target, n)
+    return dense_rows(_transition_matrix(SYM, source, target, n))

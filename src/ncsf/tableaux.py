@@ -15,9 +15,11 @@ SYTs use the matching convention (columns increase bottom to top), so the
 column-sorting map ``rho_bar`` lands on valid SYTs without re-indexing.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
+from ._linear import dense_rows
 from .compositions import (
     Composition,
     Partition,
@@ -29,6 +31,7 @@ from .compositions import (
     underlying_partition,
 )
 from .errors import DegreeMismatchError, MalformedFillingError
+from .linalg import Matrix, from_rows
 
 __all__ = [
     "CompositionDiagram",
@@ -310,20 +313,21 @@ def enumerate_syt(lam: Partition) -> tuple[SYT, ...]:
 
 
 @cache
+def dhat_rows(n: int) -> Matrix:
+    """``dhat_matrix(n)`` as a stored sparse matrix."""
+    if n < 1:
+        raise ValueError(f"degree must be positive: {n}")
+    index = composition_index(n)
+    return from_rows(
+        Counter(index[descent_composition_syct(t)] for t in enumerate_syct(beta))
+        for beta in compositions_of(n)
+    )
+
+
 def dhat_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """Entry [shape][descent composition] counts SYCTs, both indices in
     canonical composition order."""
-    if n < 1:
-        raise ValueError(f"degree must be positive: {n}")
-    comps = compositions_of(n)
-    index = composition_index(n)
-    rows = []
-    for beta in comps:
-        row = [0] * len(comps)
-        for tableau in enumerate_syct(beta):
-            row[index[descent_composition_syct(tableau)]] += 1
-        rows.append(tuple(row))
-    return tuple(rows)
+    return dense_rows(dhat_rows(n))
 
 
 def kostka_counts(lam: Partition, mu: Partition) -> int:

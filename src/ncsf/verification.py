@@ -27,9 +27,10 @@ from .characters import (
 )
 from .compositions import compositions_of, format_composition
 from .descent import convolve, descent_span_coordinates, xi
-from .linalg import is_identity, matmul, transpose
-from .nsym import transition_matrix as nsym_transition_matrix
-from .qsym import transition_matrix as qsym_transition_matrix
+from ._linear import dense_rows, transition_matrix
+from .linalg import identity, matmul, transpose
+from .nsym import NSYM
+from .qsym import QSYM
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -42,25 +43,24 @@ def duality_matrix(qsym_basis: str, nsym_basis: str, n: int):
     F and R are dual, so it is the product of the F expansion of one basis
     with the transposed R expansion of the other."""
     return matmul(
-        qsym_transition_matrix(qsym_basis, "F", n),
-        transpose(nsym_transition_matrix(nsym_basis, "R", n)),
+        transition_matrix(QSYM, qsym_basis, "F", n),
+        transpose(transition_matrix(NSYM, nsym_basis, "R", n)),
     )
 
 
 def _duality_checks(n: int):
     for qsym_basis, nsym_basis in _DUAL_PAIRS:
         pairing = duality_matrix(qsym_basis, nsym_basis, n)
-        passed = is_identity(pairing)
-        witness = "" if passed else f"pairing matrix {pairing}"
+        passed = pairing == identity(len(pairing.rows))
+        witness = "" if passed else f"pairing matrix {dense_rows(pairing)}"
         yield Check(f"duality/{qsym_basis}:{nsym_basis}", passed, witness)
 
 
 def _solomon_checks(n: int):
-    comps = compositions_of(n)
-    for alpha in comps:
-        xi_alpha = xi(alpha)
-        for beta in comps:
-            product = convolve(xi_alpha, xi(beta))
+    xis = {alpha: xi(alpha) for alpha in compositions_of(n)}
+    for alpha, xi_alpha in xis.items():
+        for beta, xi_beta in xis.items():
+            product = convolve(xi_alpha, xi_beta)
             name = f"solomon/{format_composition(alpha)};{format_composition(beta)}"
             if descent_span_coordinates(product) is None:
                 yield Check(name, False, "product left the descent span")

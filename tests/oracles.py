@@ -6,9 +6,11 @@ recursion for character values, explicit coset counting for induced
 characters, brute-force filtering for tableau enumeration, the full
 permutation sum for Jacobi-Trudi determinants, every assignment of parts
 to blocks for monomial coefficients of power sums, cut-set inclusion
-for the Moebius function of the refinement order, and Fraction arithmetic
+for the Moebius function of the refinement order, Fraction arithmetic
 over one-line tuples for the group-ring product and the descent-class
-coordinates.
+coordinates, and dense Fraction-generic linear algebra (Gauss-Jordan
+inversion, products, transposes and the application of a matrix to sparse
+terms) for the library's sparse integer matrices.
 """
 
 from fractions import Fraction
@@ -17,6 +19,8 @@ from itertools import accumulate, permutations, product
 from math import factorial
 
 from ncsf import is_valid_syct, sym_convert, z_stat
+from ncsf.errors import InternalConsistencyError
+from ncsf.linalg import from_rows
 from ncsf.tableaux import CompositionDiagram
 
 # number of involutions in S_n for n = 1..7
@@ -233,3 +237,75 @@ def descent_span_coordinates_by_fractions(a):
         if value:
             coords[key] = value
     return coords
+
+
+def identity(k: int) -> tuple:
+    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+
+
+def is_identity(m) -> bool:
+    return all(
+        entry == (1 if i == j else 0)
+        for i, row in enumerate(m)
+        for j, entry in enumerate(row)
+    )
+
+
+def transpose(m) -> tuple:
+    return tuple(zip(*m)) if m else ()
+
+
+def matmul(a, b) -> tuple:
+    """The product of two dense matrices, scanning every entry."""
+    rows = []
+    for row in a:
+        out = [0] * (len(b[0]) if b else 0)
+        for coeff, brow in zip(row, b):
+            if not coeff:
+                continue
+            for j, entry in enumerate(brow):
+                if entry:
+                    out[j] += coeff * entry
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
+def invert(m) -> tuple:
+    """Gauss-Jordan inverse of a dense matrix, in Fractions."""
+    k = len(m)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(k)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if aug[r][col]), None)
+        if pivot is None:
+            raise InternalConsistencyError(f"singular {k}x{k} matrix")
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+        scale = aug[col][col]
+        if scale != 1:
+            aug[col] = [x / scale for x in aug[col]]
+        for r in range(k):
+            if r == col or not aug[r][col]:
+                continue
+            factor = aug[r][col]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[k:]) for row in aug)
+
+
+def stored(m):
+    """The library's sparse form of a dense matrix."""
+    return from_rows({j: x for j, x in enumerate(row) if x} for row in m)
+
+
+def apply_matrix(terms: dict, matrix, order) -> dict:
+    """The image of index-keyed ``terms`` under a dense matrix whose rows and
+    columns follow ``order``: row i holds the image of ``order[i]``."""
+    index = {idx: i for i, idx in enumerate(order)}
+    out = [0] * len(order)
+    for idx, c in terms.items():
+        for j, entry in enumerate(matrix[index[idx]]):
+            if entry:
+                out[j] += c * entry
+    return {order[j]: v for j, v in enumerate(out) if v}

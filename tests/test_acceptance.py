@@ -37,7 +37,6 @@ from ncsf import (
     young_character,
     z_stat,
 )
-from ncsf.linalg import is_identity, matmul
 from ncsf.nsym import duality_pairing, nsym_basis_element
 from ncsf.nsym import transition_matrix as nsym_tm
 from ncsf.qsym import compositions_with_underlying
@@ -48,6 +47,8 @@ from oracles import (
     INVOLUTIONS,
     conjugacy_classes,
     hook_length_count,
+    is_identity,
+    matmul,
     murnaghan_nakayama,
 )
 

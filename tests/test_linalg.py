@@ -1,29 +1,47 @@
-"""The integer-exact matrix builders against the slow paths they replace.
+"""The sparse integer matrices and their builders against the dense slow
+paths they replace.
 
 At every degree n <= 7: the substitution inverse against Fraction
-Gauss-Jordan on each matrix it inverts, the closed-form M -> F matrix
-against the inverse of F -> M, the pruned Jacobi-Trudi expansion against
-the full permutation sum, and the memoized block count against a count of
-every assignment.  Then the substitution inverse's guards.
+Gauss-Jordan on each matrix it inverts, the triangular solves of Sym's
+``m`` basis against Gauss-Jordan and dense products, the closed-form
+M -> F matrix against the inverse of F -> M, sparse products, transposes
+and solves against their dense oracles, the pruned Jacobi-Trudi expansion
+against the full permutation sum, and the memoized block count against a
+count of every assignment.  Every cached builder stores sparse rows of
+nonzero ints over the least denominator.  Then the guards of the
+triangular solve.
 """
+
+from math import gcd
 
 import pytest
 
 from ncsf import nsym, qsym, sym
+from ncsf._linear import dense_rows
 from ncsf.compositions import partitions_of
 from ncsf.errors import InternalConsistencyError
-from ncsf.linalg import identity, invert, invert_unitriangular, matmul
-from ncsf.tableaux import dhat_matrix
+from ncsf.linalg import Matrix, invert_unitriangular, matmul, solve_triangular, transpose
+from ncsf.nsym import NSYM
+from ncsf.qsym import QSYM
+from ncsf.sym import SYM
+from ncsf.tableaux import dhat_rows
 
-from oracles import block_count_by_assignments, jacobi_trudi_by_permutations
+import oracles
+from oracles import (
+    block_count_by_assignments,
+    identity,
+    invert,
+    jacobi_trudi_by_permutations,
+    stored,
+)
 
 DEGREES = range(1, 8)
 
 
 def _unitriangular(n):
-    """Every matrix the builders invert by substitution, by name."""
+    """Every matrix the builders invert or solve by substitution, by name."""
     return {
-        "dhat": dhat_matrix(n),
+        "dhat": dhat_rows(n),
         "QS -> F": qsym._to_f_matrix("QS", n),
         "R in S": nsym._r_in_schur_matrix("S", n),
         "R in YS": nsym._r_in_schur_matrix("YS", n),
@@ -32,7 +50,25 @@ def _unitriangular(n):
 
 
 def _is_integer(m) -> bool:
-    return all(type(x) is int for row in m for x in row)
+    return m.den == 1 and all(type(x) is int for _, vals in m.rows for x in vals)
+
+
+def _builders(n):
+    """Every cached matrix of each space at degree n, by space and name."""
+    built = {
+        space.name: {
+            f"{basis} {way}": build(basis, n)
+            for basis in space.bases
+            if basis != space.hub
+            for way, build in (("to hub", space.to_hub), ("from hub", space.from_hub))
+        }
+        for space in (SYM, QSYM, NSYM)
+    }
+    unitriangular = _unitriangular(n)
+    built["Sym"] |= {"p in m": sym._p_in_m_matrix(n), "s -> h": unitriangular.pop("s -> h")}
+    built["QSym"] |= {name: unitriangular.pop(name) for name in ("dhat", "QS -> F")}
+    built["NSym"] |= unitriangular
+    return built
 
 
 @pytest.mark.parametrize("n", DEGREES)
@@ -41,24 +77,71 @@ def test_substitution_inverse_matches_gauss_jordan(n):
         assert _is_integer(m), name
         inverse = invert_unitriangular(m)
         assert _is_integer(inverse), name
-        assert inverse == invert(m), name
+        assert dense_rows(inverse) == invert(dense_rows(m)), name
 
 
 @pytest.mark.parametrize("n", DEGREES)
 def test_builders_use_the_exact_inverses(n):
-    assert qsym._from_f_matrix("QS", n) == invert(qsym._to_f_matrix("QS", n))
-    assert qsym._from_f_matrix("YQS", n) == invert(qsym._to_f_matrix("YQS", n))
-    assert sym._from_h_matrix("s", n) == invert(sym._to_h_matrix("s", n))
+    for basis in ("QS", "YQS"):
+        want = invert(dense_rows(qsym._to_f_matrix(basis, n)))
+        assert dense_rows(qsym._from_f_matrix(basis, n)) == want
+    assert dense_rows(sym._from_h_matrix("s", n)) == invert(dense_rows(sym._to_h_matrix("s", n)))
     for basis in ("S", "YS"):
-        expected = matmul(invert(nsym._r_in_schur_matrix(basis, n)), nsym._to_h_matrix("R", n))
-        assert nsym._to_h_matrix(basis, n) == expected
+        expected = oracles.matmul(
+            invert(dense_rows(nsym._r_in_schur_matrix(basis, n))),
+            dense_rows(nsym._to_h_matrix("R", n)),
+        )
+        assert dense_rows(nsym._to_h_matrix(basis, n)) == expected
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_monomial_matrices_are_integer_triangular_solves(n):
+    p_in_m = dense_rows(sym._p_in_m_matrix(n))
+    p_to_h, h_to_p = (dense_rows(build("p", n)) for build in (sym._to_h_matrix, sym._from_h_matrix))
+    m_to_h, h_to_m = sym._to_h_matrix("m", n), sym._from_h_matrix("m", n)
+    assert _is_integer(m_to_h) and _is_integer(h_to_m)
+    assert dense_rows(m_to_h) == oracles.matmul(invert(p_in_m), p_to_h)
+    assert dense_rows(h_to_m) == oracles.matmul(h_to_p, p_in_m)
+    assert oracles.is_identity(oracles.matmul(dense_rows(m_to_h), dense_rows(h_to_m)))
 
 
 @pytest.mark.parametrize("n", DEGREES)
 def test_closed_form_m_to_f_is_the_inverse_of_f_to_m(n):
     m_to_f = qsym._to_f_matrix("M", n)
     assert _is_integer(m_to_f)
-    assert m_to_f == invert(qsym._from_f_matrix("M", n))
+    assert dense_rows(m_to_f) == invert(dense_rows(qsym._from_f_matrix("M", n)))
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_sparse_operations_equal_their_dense_oracles(n):
+    built = _builders(n)
+    dense = {(space, name): dense_rows(m) for space in built for name, m in built[space].items()}
+    for space, group in built.items():
+        for a_name, a in group.items():
+            assert dense_rows(transpose(a)) == oracles.transpose(dense[space, a_name]), a_name
+            for b_name, b in group.items():
+                want = oracles.matmul(dense[space, a_name], dense[space, b_name])
+                assert dense_rows(matmul(a, b)) == want, (space, a_name, b_name)
+    triangular = _unitriangular(n) | {"p in m": sym._p_in_m_matrix(n), "p -> h": sym._to_h_matrix("p", n)}
+    for a_name, a in triangular.items():
+        inverse = invert(dense_rows(a))
+        for (space, b_name), b in dense.items():
+            if len(b) == len(a.rows):
+                got = solve_triangular(a, built[space][b_name])
+                assert dense_rows(got) == oracles.matmul(inverse, b), (a_name, space, b_name)
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_cached_builders_store_sparse_rows_of_nonzero_ints(n):
+    for space, built in _builders(n).items():
+        for name, m in built.items():
+            assert type(m) is Matrix and type(m.rows) is tuple, (space, name)
+            for cols, vals in m.rows:
+                assert type(cols) is tuple and type(vals) is tuple, (space, name)
+                assert len(cols) == len(vals) and list(cols) == sorted(set(cols)), (space, name)
+                assert all(0 <= j < len(m.rows) for j in cols), (space, name)
+                assert all(type(x) is int and x for x in vals), (space, name)
+            assert m.den >= 1 and gcd(m.den, *(x for _, vals in m.rows for x in vals)) == 1
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -87,12 +170,34 @@ def test_memoized_block_count_matches_assignments(n):
 )
 def test_substitution_inverse_refuses_non_unitriangular(m):
     with pytest.raises(InternalConsistencyError):
-        invert_unitriangular(m)
+        invert_unitriangular(stored(m))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [((0,),), ((0, 1), (1, 0)), ((2, 1), (1, 2)), ((1, 2, 0), (0, 3, 3), (4, 0, 5))],
+    ids=["zero", "swap", "two-cycle", "three-cycle"],
+)
+def test_triangular_solve_refuses_a_zero_diagonal_or_a_cycle(m):
+    with pytest.raises(InternalConsistencyError):
+        solve_triangular(stored(m), stored(identity(len(m))))
+
+
+def test_triangular_solve_divides_by_the_diagonal():
+    m = ((2, 0, 0), (1, 3, 0), (0, 5, 1))
+    inverse = solve_triangular(stored(m), stored(identity(3)))
+    assert inverse.den == 6
+    assert dense_rows(inverse) == invert(m)
+    assert dense_rows(solve_triangular(stored(m), stored(m))) == identity(3)
+
+
+def _inverse(m):
+    return dense_rows(invert_unitriangular(stored(m)))
 
 
 def test_substitution_inverse_small_cases():
-    assert invert_unitriangular(()) == ()
-    assert invert_unitriangular(identity(3)) == identity(3)
-    assert invert_unitriangular(((1, 0), (5, 1))) == ((1, 0), (-5, 1))
+    assert _inverse(()) == ()
+    assert _inverse(identity(3)) == identity(3)
+    assert _inverse(((1, 0), (5, 1))) == ((1, 0), (-5, 1))
     m = ((1, 0, 2), (3, 1, 4), (0, 0, 1))  # upper unitriangular in the order 1, 0, 2
-    assert matmul(invert_unitriangular(m), m) == identity(3)
+    assert oracles.matmul(_inverse(m), m) == identity(3)

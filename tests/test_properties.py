@@ -3,7 +3,9 @@ and for the substitution inverse its matrix builders use.
 
 For every ordered basis pair of every space, on random elements of mixed
 degree at most 5: conversion round trips, conversion is linear, and each
-row of a transition matrix is the conversion of one basis element.  On
+row of a transition matrix is the conversion of one basis element.  For
+every basis pair and degree at most 6, applying a stored sparse matrix to
+random terms equals applying its dense form in Fraction arithmetic.  On
 random integer matrices: the substitution inverse of a unitriangular
 matrix with permuted indices is its inverse, equal to the Gauss-Jordan
 one, and on any matrix it either refuses or returns the inverse.  On
@@ -43,14 +45,23 @@ from ncsf import (
     xi,
     young_character,
 )
+from ncsf._linear import _apply_matrix, dense_rows, transition_matrix
 from ncsf.compositions import compositions_of, partitions_of
 from ncsf.errors import InternalConsistencyError
-from ncsf.linalg import identity, invert, invert_unitriangular, matmul
+from ncsf.linalg import invert_unitriangular
 from ncsf.nsym import transition_matrix as nsym_transition_matrix
 from ncsf.qsym import transition_matrix as qsym_transition_matrix
 from ncsf.sym import transition_matrix as sym_transition_matrix
 
-from oracles import convolve_by_fractions, descent_span_coordinates_by_fractions
+from oracles import (
+    apply_matrix,
+    convolve_by_fractions,
+    descent_span_coordinates_by_fractions,
+    identity,
+    invert,
+    matmul,
+    stored,
+)
 
 TOP = 5
 
@@ -114,6 +125,23 @@ def test_transition_matrix_rows_are_conversions(space, source, target):
             assert {idx: c for idx, c in zip(order, row) if c} == expected.terms
 
 
+KERNEL = settings(derandomize=True, deadline=None, max_examples=5, database=None)
+
+
+@pytest.mark.parametrize("space,source,target", PAIRS)
+@KERNEL
+@given(data=st.data())
+def test_sparse_kernel_equals_the_dense_oracle(space, source, target, data):
+    cls, _, _, _, of_degree = SPACES[space]
+    for n in range(7):
+        order = of_degree(n)
+        terms = data.draw(st.dictionaries(st.sampled_from(order), scalars, max_size=4))
+        matrix = transition_matrix(cls.space, source, target, n)
+        got = _apply_matrix(terms, matrix, cls.space, n)
+        assert got == apply_matrix(terms, dense_rows(matrix), order)
+        assert _stored_exactly(got.values())
+
+
 MATRICES = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 
 
@@ -127,7 +155,7 @@ def test_substitution_inverse_of_permuted_unitriangular(data):
     ]
     order = data.draw(st.permutations(range(k)))
     m = tuple(tuple(upper[order[i]][order[j]] for j in range(k)) for i in range(k))
-    inverse = invert_unitriangular(m)
+    inverse = dense_rows(invert_unitriangular(stored(m)))
     assert matmul(inverse, m) == identity(k)
     assert inverse == invert(m)
 
@@ -144,7 +172,7 @@ def test_substitution_inverse_refuses_or_is_right(data):
         for i in range(k)
     )
     try:
-        inverse = invert_unitriangular(m)
+        inverse = dense_rows(invert_unitriangular(stored(m)))
     except InternalConsistencyError:
         return
     assert matmul(inverse, m) == identity(k)

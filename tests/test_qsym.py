@@ -15,10 +15,9 @@ from ncsf import (
     sym_basis_element,
     symmetric_part,
 )
-from ncsf.linalg import is_identity, matmul
 from ncsf.qsym import compositions_with_underlying, transition_matrix
 
-from oracles import hook_length_count
+from oracles import hook_length_count, is_identity, matmul
 
 
 def test_fundamental_in_monomial_basis():

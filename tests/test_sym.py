@@ -13,10 +13,9 @@ from ncsf import (
     sym_multiply,
 )
 from ncsf.errors import BasisMismatchError
-from ncsf.linalg import is_identity, matmul
 from ncsf.sym import transition_matrix
 
-from oracles import p_inner_product
+from oracles import is_identity, matmul, p_inner_product
 
 
 def test_h2_in_e_basis():

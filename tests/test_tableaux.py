@@ -18,10 +18,9 @@ from ncsf import (
     underlying_partition,
 )
 from ncsf.errors import DegreeMismatchError, MalformedFillingError
-from ncsf.linalg import invert
 from ncsf.tableaux import CompositionDiagram
 
-from oracles import INVOLUTIONS, brute_force_syct_rows, hook_length_count
+from oracles import INVOLUTIONS, brute_force_syct_rows, hook_length_count, invert
 
 # the running example: shape (2,4,1,2), descent composition (1,2,1,2,3)
 EXAMPLE_ROWS = ((1, 4), (2, 3, 6, 9), (5,), (7, 8))
