@@ -32,7 +32,7 @@ def from_rows(rows, scale=1) -> Matrix:
     if scale != 1:
         rows = [{j: x * scale for j, x in row.items()} for row in rows]
     rows = [sorted((j, x) for j, x in row.items() if x) for row in rows]
-    den = lcm(*(x.denominator for row in rows for _, x in row))
+    den = lcm(*{x.denominator for row in rows for _, x in row})
     pairs = ((tuple(j for j, _ in row), tuple(int(x * den) for _, x in row)) for row in rows)
     return Matrix(tuple(pairs), den)
 
@@ -75,9 +75,7 @@ def solve_triangular(a: Matrix, b: Matrix) -> Matrix:
     try:
         order = tuple(TopologicalSorter(dict(enumerate(after))).static_order())
     except CycleError:
-        raise InternalConsistencyError(
-            f"{k}x{k} matrix has a cycle off the diagonal; it is not triangular in any order"
-        ) from None
+        raise InternalConsistencyError(f"{k}x{k} matrix has a cycle off the diagonal") from None
     x = [None] * k
     for i in order:  # each row after the rows it needs
         row = dict(zip(*b.rows[i]))
