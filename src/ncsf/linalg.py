@@ -3,9 +3,9 @@
 A ``Matrix`` is stored only as sparse rows over one denominator ``den``:
 row i is a pair of tuples ``(cols, vals)``, the increasing positions of its
 nonzero entries and those entries as ints, each meaning ``val / den``.
-``den`` is the least one, so it is 1 for an integer matrix.  Products and
-transposes compute in ``int``; the triangular solve divides only by a
-diagonal entry other than 1.  Matrices are square.
+``den`` is the least one, so it is 1 for an integer matrix.  Products sum
+in ``int``; the triangular solve divides only by a diagonal entry other
+than 1.  Matrices are square.
 """
 
 from fractions import Fraction
@@ -61,12 +61,11 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def solve_triangular(a: Matrix, b: Matrix) -> Matrix:
-    """The matrix x with a x = b, for ``a`` with a nonzero diagonal whose
-    off-diagonal pattern is acyclic, i.e. triangular in some order of its
-    indices.  Row i of x is b[i] minus the sum of a[i][j] times row j of x
-    over j != i, divided by a[i][i]; rows are solved by back substitution
-    in a topological order.  Only a diagonal entry other than 1 divides, so
-    a unit diagonal and an integer ``b`` give an integer x."""
+    """The x with a x = b, for ``a`` with a nonzero diagonal and an acyclic
+    off-diagonal pattern (triangular in some order of its indices).  By back
+    substitution in a topological order, row i of x is b[i] minus the sum of
+    a[i][j] x[j] over j != i, divided by a[i][i]: only a diagonal entry other
+    than 1 divides, so a unit diagonal and an integer ``b`` give an integer x."""
     k = len(a.rows)
     after = [dict(zip(*row)) for row in a.rows]
     diagonal = [row.pop(i, 0) for i, row in enumerate(after)]

@@ -126,8 +126,9 @@ def symmetric_part(x: QSymElement):
     m = qsym_convert(x, "M")
     out = {underlying_partition(alpha): c for alpha, c in m.terms.items()}
     for lam, c in out.items():
-        if any(m.terms.get(beta, 0) != c for beta in compositions_with_underlying(lam)):
-            return None
+        for beta in compositions_with_underlying(lam):
+            if m.terms.get(beta, 0) != c:
+                return None
     return SymElement("m", out)
 
 
