@@ -8,7 +8,10 @@ of every space at n <= 5 (JSON and CSV), in JSON at the larger degrees of
 ``_DISTINCT_LARGE``, ``expand`` for every basis pair and index at n <= 5,
 ``char --young``/``--irreducible`` at n <= 5 and for every partition of
 6 and 7, every ``verify`` suite at n <= 4 and at the degrees of
-``_VERIFY_LARGE`` (text and ``--json``), and a few refusals.  One more test checks
+``_VERIFY_LARGE`` (text and ``--json``), the conversions of ``_CONVERT`` at
+the ``convert`` degree 8 in JSON, ``tableaux syct`` for every composition
+of n <= 5 and ``tableaux syt`` for every partition of n <= 6 (``--count``
+and ``--list``), and a few refusals.  One more test checks
 QSym's M -> F matrix at n = 10 entry by entry against the Moebius sign sum.
 
 To record the digests again (only when an output is meant to change):
@@ -42,6 +45,11 @@ _SUITES = ("main-theorem", "duality", "solomon", "square", "all")
 _LARGE = {"sym": (6, 7), "qsym": (6,), "nsym": (6,)}
 # further degrees at which every pair of distinct bases is pinned, in JSON
 _DISTINCT_LARGE = {"sym": (), "qsym": (7,), "nsym": (7,)}
+# the tableau-count conversions pinned in JSON at degree 8
+_CONVERT = {
+    "qsym": (("YQS", "F"), ("QS", "F"), ("F", "YQS")),
+    "nsym": (("S", "H"), ("H", "S"), ("S", "YS")),
+}
 # degrees above 4 at which each ``verify`` suite is pinned, text and JSON
 _VERIFY_LARGE = {
     "main-theorem": (5, 6),
@@ -78,6 +86,9 @@ def _commands() -> dict:
             for b in bases
             if a != b
             for n in _DISTINCT_LARGE[space]
+        ] + [
+            ["matrix", "--space", space, "--from", a, "--to", b, "-n", "8", "--format", "json"]
+            for a, b in _CONVERT.get(space, ())
         ]
         groups[f"expand-{space}"] = [
             ["expand", "--space", space, "--from", a, "--to", b, "--index", _label(index)]
@@ -86,6 +97,13 @@ def _commands() -> dict:
             for n in range(6)
             for index in indices(n)
         ]
+    groups["tableaux"] = [
+        ["tableaux", kind, "--shape", _label(shape), mode]
+        for kind, shapes, top in (("syct", compositions_of, 5), ("syt", partitions_of, 6))
+        for n in range(top + 1)
+        for shape in shapes(n)
+        for mode in ("--count", "--list")
+    ]
     groups["char"] = [
         ["char", "--young", _label(alpha)] for n in range(6) for alpha in compositions_of(n)
     ] + [["char", "--irreducible", _label(lam)] for n in range(6) for lam in partitions_of(n)]
