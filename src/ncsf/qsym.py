@@ -9,7 +9,8 @@ Schur ``QS``, and Young quasisymmetric Schur ``YQS``.  The space is the
   M_beta; M -> F is its Moebius inverse, the same sum with the sign
   (-1)^(len(beta) - len(alpha));
 * YQS -> F has the SYCT counts: the (alpha, beta) entry counts SYCTs of
-  shape alpha with descent composition beta;
+  shape alpha with descent composition beta, found by counting chains in
+  the composition poset (``tableaux.dhat_rows``);
 * QS -> F is the same with both indices reversed;
 * F -> QS and F -> YQS invert those integer matrices by substitution: they
   are unitriangular in a suitable order of the compositions.

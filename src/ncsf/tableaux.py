@@ -13,6 +13,13 @@ filling of the diagram of alpha in which
 
 SYTs use the matching convention (columns increase bottom to top), so the
 column-sorting map ``rho_bar`` lands on valid SYTs without re-indexing.
+
+SYCTs of shape alpha are the saturated chains from () to alpha in the
+composition poset (Bessenrodt, Luoto and van Willigenburg, Adv. Math. 226,
+2011), entry m being the cell added at step m.  Here a cover adds a new top
+row of length 1, or a cell to the highest-index row of each distinct length
+k, in column k+1; taking the lowest-index row gives wrong counts from n=3.
+i is a descent of an SYCT when i+1 is in the column of i or further left.
 """
 
 from collections import Counter
@@ -27,7 +34,6 @@ from .compositions import (
     check_partition,
     comp_of,
     compositions_of,
-    composition_index,
     underlying_partition,
 )
 from .errors import DegreeMismatchError, MalformedFillingError
@@ -312,16 +318,37 @@ def enumerate_syt(lam: Partition) -> tuple[SYT, ...]:
     return tuple(SYT(lam, rows) for rows in found)
 
 
+def _covers(shape: Composition):
+    """The covers of ``shape``, each with the column of its new cell."""
+    yield shape + (1,), 1
+    for i, k in enumerate(shape):
+        if k not in shape[i + 1 :]:
+            yield shape[:i] + (k + 1,) + shape[i + 1 :], k + 1
+
+
 @cache
 def dhat_rows(n: int) -> Matrix:
-    """``dhat_matrix(n)`` as a stored sparse matrix."""
+    """``dhat_matrix(n)`` as a stored sparse matrix, by counting chains.
+
+    A state (shape, column of the last cell) counts chains by descent mask,
+    bit i-1 for descent i; in canonical order a mask is its column's index.
+    """
     if n < 1:
         raise ValueError(f"degree must be positive: {n}")
-    index = composition_index(n)
-    return from_rows(
-        Counter(index[descent_composition_syct(t)] for t in enumerate_syct(beta))
-        for beta in compositions_of(n)
-    )
+    level = {((1,), 1): {0: 1}}
+    for m in range(2, n + 1):
+        step = {}
+        for (shape, col), counts in level.items():
+            for state in _covers(shape):
+                bit = 1 << (m - 2) if state[1] <= col else 0
+                out = step.setdefault(state, {})
+                for mask, c in counts.items():
+                    out[mask | bit] = out.get(mask | bit, 0) + c
+        level = step
+    rows = {}
+    for (shape, _), counts in level.items():
+        rows.setdefault(shape, Counter()).update(counts)
+    return from_rows(map(rows.__getitem__, compositions_of(n)))
 
 
 def dhat_matrix(n: int) -> tuple[tuple[int, ...], ...]:

@@ -3,9 +3,11 @@
 Everything here recomputes expected values by a route different from the
 library code under test: hook lengths for tableau counts, border-strip
 recursion for character values, explicit coset counting for induced
-characters, brute-force filtering for tableau enumeration, the full
+characters, brute-force filtering for tableau enumeration, the listing
+of every SYCT for the ``dhat`` matrix, the full
 permutation sum for Jacobi-Trudi determinants, every assignment of parts
-to blocks for monomial coefficients of power sums, cut-set inclusion
+to blocks (or a per-entry memoized count of them) for monomial
+coefficients of power sums, cut-set inclusion
 for the Moebius function of the refinement order, Fraction arithmetic
 over one-line tuples for the group-ring product and the descent-class
 coordinates, and dense Fraction-generic linear algebra (Gauss-Jordan
@@ -13,12 +15,21 @@ inversion, products, transposes and the application of a matrix to sparse
 terms) for the library's sparse integer matrices.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations, product
 from math import factorial
 
-from ncsf import is_valid_syct, sym_convert, z_stat
+from ncsf import (
+    compositions_of,
+    descent_composition_syct,
+    enumerate_syct,
+    is_valid_syct,
+    sym_convert,
+    z_stat,
+)
+from ncsf.compositions import composition_index
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import from_rows
 from ncsf.tableaux import CompositionDiagram
@@ -159,6 +170,16 @@ def brute_force_syct_rows(alpha) -> set:
     return out
 
 
+def dhat_by_enumeration(n: int):
+    """``dhat_rows(n)`` by listing every SYCT of each shape and reading off
+    its descent composition."""
+    index = composition_index(n)
+    return from_rows(
+        Counter(index[descent_composition_syct(t)] for t in enumerate_syct(beta))
+        for beta in compositions_of(n)
+    )
+
+
 def _perm_sign(sigma) -> int:
     inversions = sum(
         1
@@ -196,6 +217,25 @@ def block_count_by_assignments(mu, lam) -> int:
             sums[block] += part
         count += sums == target
     return count
+
+
+def ordered_block_count(mu, lam) -> int:
+    """The coefficient of m_lam in p_mu for one pair alone: assignments of
+    the parts of mu to len(lam) labeled blocks with block j summing to
+    lam[j], memoized on the index of the next part and the capacities left
+    in block order."""
+
+    @cache
+    def rec(i, remaining):
+        if i == len(mu):
+            return 1
+        return sum(
+            rec(i + 1, remaining[:j] + (cap - mu[i],) + remaining[j + 1 :])
+            for j, cap in enumerate(remaining)
+            if cap >= mu[i]
+        )
+
+    return rec(0, tuple(lam))
 
 
 def moebius_refinement(alpha, beta) -> int:

@@ -18,9 +18,16 @@ from ncsf import (
     underlying_partition,
 )
 from ncsf.errors import DegreeMismatchError, MalformedFillingError
-from ncsf.tableaux import CompositionDiagram
+from ncsf.linalg import invert_unitriangular
+from ncsf.tableaux import CompositionDiagram, dhat_rows
 
-from oracles import INVOLUTIONS, brute_force_syct_rows, hook_length_count, invert
+from oracles import (
+    INVOLUTIONS,
+    brute_force_syct_rows,
+    dhat_by_enumeration,
+    hook_length_count,
+    invert,
+)
 
 # the running example: shape (2,4,1,2), descent composition (1,2,1,2,3)
 EXAMPLE_ROWS = ((1, 4), (2, 3, 6, 9), (5,), (7, 8))
@@ -159,6 +166,23 @@ def test_dhat_matrix_unit_diagonal_and_row_sums():
 def test_dhat_matrix_invertible():
     for n in range(1, 8):
         invert(tuple(tuple(x for x in row) for row in dhat_matrix(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_chain_count_equals_syct_enumeration(n):
+    assert dhat_rows(n) == dhat_by_enumeration(n)
+
+
+@pytest.mark.parametrize("n", (10, 11))
+def test_chain_count_at_degrees_beyond_the_enumeration(n):
+    """Each SYT of shape lam is rho_bar of exactly one SYCT whose shape
+    rearranges lam, so the row sums over those shapes give f^lam."""
+    by_shape = {}
+    for beta, (_, vals) in zip(compositions_of(n), dhat_rows(n).rows):
+        lam = underlying_partition(beta)
+        by_shape[lam] = by_shape.get(lam, 0) + sum(vals)
+    assert by_shape == {lam: hook_length_count(lam) for lam in partitions_of(n)}
+    invert_unitriangular(dhat_rows(n))
 
 
 def test_kostka_counts():
