@@ -121,29 +121,28 @@ def _jacobi_trudi_h(lam: Partition) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _ordered_block_count(mu: Partition, lam: Partition) -> int:
-    """Assignments of the parts of mu to len(lam) labeled blocks with block
-    j summing to lam[j]; the coefficient of the monomial basis element m_lam
-    in p_mu."""
+def _p_in_m_row(mu: Partition, n: int) -> dict:
+    """p_mu in monomials: m_lam counts the assignments of the parts of mu to
+    len(lam) labeled blocks, block j summing to lam[j].  One memo, keyed on
+    the sorted nonzero capacities left, serves every lam not longer than mu."""
 
     @cache
-    def rec(i, remaining):
+    def count(i, remaining):
         if i == len(mu):
             return 1
-        return sum(
-            rec(i + 1, remaining[:j] + (cap - mu[i],) + remaining[j + 1 :])
-            for j, cap in enumerate(remaining)
-            if cap >= mu[i]
-        )
+        total = 0
+        for j, cap in enumerate(remaining):
+            if cap >= mu[i]:
+                rest = remaining[:j] + remaining[j + 1 :]
+                total += count(i + 1, tuple(sorted(rest + (cap - mu[i],))) if cap > mu[i] else rest)
+        return total
 
-    return rec(0, tuple(lam))
+    return {lam: count(0, lam[::-1]) for lam in partitions_of(n) if len(lam) <= len(mu)}
 
 
 @cache
 def _p_in_m_matrix(n: int) -> Matrix:
-    parts_list = partitions_of(n)
-    rows = ({lam: _ordered_block_count(mu, lam) for lam in parts_list} for mu in parts_list)
-    return matrix_of(rows, partition_index(n))
+    return matrix_of((_p_in_m_row(mu, n) for mu in partitions_of(n)), partition_index(n))
 
 
 def _multiplicative(generator_row, n: int) -> Matrix:

@@ -6,8 +6,8 @@ Gauss-Jordan on each matrix it inverts, the triangular solves of Sym's
 ``m`` basis against Gauss-Jordan and dense products, the closed-form
 M -> F matrix against the inverse of F -> M, sparse products, transposes
 and solves against their dense oracles, the pruned Jacobi-Trudi expansion
-against the full permutation sum, and the memoized block count against a
-count of every assignment.  Every cached builder stores sparse rows of
+against the full permutation sum, and the p -> m block counts against a
+count of every assignment and, up to n = 10, against a memo per entry.  Every cached builder stores sparse rows of
 nonzero ints over the least denominator.  Then the guards of the
 triangular solve.
 """
@@ -152,9 +152,19 @@ def test_pruned_jacobi_trudi_matches_permutation_sum(n):
 
 @pytest.mark.parametrize("n", DEGREES)
 def test_memoized_block_count_matches_assignments(n):
-    for mu in partitions_of(n):
-        for lam in partitions_of(n):
-            assert sym._ordered_block_count(mu, lam) == block_count_by_assignments(mu, lam)
+    p_in_m = dense_rows(sym._p_in_m_matrix(n))
+    parts = partitions_of(n)
+    for i, mu in enumerate(parts):
+        for j, lam in enumerate(parts):
+            assert p_in_m[i][j] == block_count_by_assignments(mu, lam), (mu, lam)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_shared_block_count_memo_matches_the_per_entry_count(n):
+    p_in_m = dense_rows(sym._p_in_m_matrix(n))
+    parts = partitions_of(n)
+    for i, mu in enumerate(parts):
+        assert list(p_in_m[i]) == [oracles.ordered_block_count(mu, lam) for lam in parts], mu
 
 
 @pytest.mark.parametrize(
