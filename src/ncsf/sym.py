@@ -121,7 +121,7 @@ def _jacobi_trudi_h(lam: Partition) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _p_in_m_row(mu: Partition, n: int) -> dict:
+def _p_in_m_row(mu: Partition) -> dict:
     """p_mu in monomials: m_lam counts the assignments of the parts of mu to
     len(lam) labeled blocks, block j summing to lam[j].  One memo, keyed on
     the sorted nonzero capacities left, serves every lam not longer than mu."""
@@ -137,12 +137,12 @@ def _p_in_m_row(mu: Partition, n: int) -> dict:
                 total += count(i + 1, tuple(sorted(rest + (cap - mu[i],))) if cap > mu[i] else rest)
         return total
 
-    return {lam: count(0, lam[::-1]) for lam in partitions_of(n) if len(lam) <= len(mu)}
+    return {lam: count(0, lam[::-1]) for lam in partitions_of(sum(mu)) if len(lam) <= len(mu)}
 
 
 @cache
 def _p_in_m_matrix(n: int) -> Matrix:
-    return matrix_of((_p_in_m_row(mu, n) for mu in partitions_of(n)), partition_index(n))
+    return matrix_of(map(_p_in_m_row, partitions_of(n)), partition_index(n))
 
 
 def _multiplicative(generator_row, n: int) -> Matrix:

@@ -4,15 +4,14 @@ Everything here recomputes expected values by a route different from the
 library code under test: hook lengths for tableau counts, border-strip
 recursion for character values, explicit coset counting for induced
 characters, brute-force filtering for tableau enumeration, the listing
-of every SYCT for the ``dhat`` matrix, the full
-permutation sum for Jacobi-Trudi determinants, every assignment of parts
-to blocks (or a per-entry memoized count of them) for monomial
-coefficients of power sums, cut-set inclusion
-for the Moebius function of the refinement order, Fraction arithmetic
-over one-line tuples for the group-ring product and the descent-class
-coordinates, and dense Fraction-generic linear algebra (Gauss-Jordan
-inversion, products, transposes and the application of a matrix to sparse
-terms) for the library's sparse integer matrices.
+of every SYCT for the ``dhat`` matrix, the full permutation sum for
+Jacobi-Trudi determinants, every assignment of parts to blocks (or a
+per-entry memoized count of them) for monomial coefficients of power sums,
+cut-set inclusion for the Moebius function of the refinement order,
+Fraction arithmetic over one-line tuples for the group-ring product and
+the descent-class coordinates, and dense Fraction-generic linear algebra
+(Gauss-Jordan inversion, products, transposes and the application of a
+matrix to sparse terms) for the library's sparse integer matrices.
 """
 
 from collections import Counter

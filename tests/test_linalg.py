@@ -7,9 +7,9 @@ Gauss-Jordan on each matrix it inverts, the triangular solves of Sym's
 M -> F matrix against the inverse of F -> M, sparse products, transposes
 and solves against their dense oracles, the pruned Jacobi-Trudi expansion
 against the full permutation sum, and the p -> m block counts against a
-count of every assignment and, up to n = 10, against a memo per entry.  Every cached builder stores sparse rows of
-nonzero ints over the least denominator.  Then the guards of the
-triangular solve.
+count of every assignment and, up to n = 10, against a memo per entry.
+Every cached builder stores sparse rows of nonzero ints over the least
+denominator.  Then the guards of the triangular solve.
 """
 
 from math import gcd
