@@ -14,6 +14,9 @@ subclass is its own type, so elements of different spaces never compare
 equal or add.  ``LinearCombinationOps`` gives +, -, unary - and exact
 scalar multiples to any two-field element whose first field is a tag the
 operands must share: the basis here, the degree in the group algebra.
+
+Inputs are checked at the public constructors; a result the library built
+from checked terms (a conversion, sum, multiple or product) is not.
 """
 
 from dataclasses import dataclass
@@ -38,18 +41,23 @@ def normalize_terms(terms, check_index) -> dict:
         if not isinstance(coeff, _SCALARS):
             raise TypeError(f"coefficients must be exact (int or Fraction): {coeff!r}")
         out[idx] = out[idx] + coeff if idx in out else coeff
-    return {k: v.numerator if v.denominator == 1 else v for k, v in out.items() if v}
+    return canonical(out)
+
+
+def canonical(terms: dict) -> dict:
+    """``terms`` without zeros, each integral coefficient as an ``int``."""
+    return {k: v.numerator if v.denominator == 1 else v for k, v in terms.items() if v}
 
 
 def product_terms(x: dict, y: dict, combine) -> dict:
     """The bilinear extension to sparse terms of a product ``combine`` of
-    indices; zero coefficients are dropped."""
+    indices, in ``canonical`` form."""
     out = {}
     for i1, c1 in x.items():
         for i2, c2 in y.items():
             idx = combine(i1, i2)
             out[idx] = out.get(idx, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}
+    return canonical(out)
 
 
 def matrix_of(rows, index: dict) -> Matrix:
@@ -77,6 +85,14 @@ class LinearCombinationOps:
 
     _TAG = "basis"
 
+    @classmethod
+    def _of(cls, tag, terms: dict):
+        """The element of canonical ``terms`` built from checked ones, as is."""
+        x = object.__new__(cls)
+        object.__setattr__(x, cls._TAG, tag)
+        object.__setattr__(x, "terms", terms)
+        return x
+
     def _mismatch(self, other):
         return BasisMismatchError(
             f"cannot combine {self.basis!r} terms with {other.basis!r} terms; convert first"
@@ -91,7 +107,7 @@ class LinearCombinationOps:
         merged = dict(self.terms)
         for idx, c in other.terms.items():
             merged[idx] = merged.get(idx, 0) + sign * c
-        return type(self)(tag, merged)
+        return self._of(tag, canonical(merged))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -105,8 +121,8 @@ class LinearCombinationOps:
     def __mul__(self, scalar):
         if not isinstance(scalar, _SCALARS):
             return NotImplemented
-        tag = getattr(self, self._TAG)
-        return type(self)(tag, {idx: c * scalar for idx, c in self.terms.items()})
+        terms = {idx: c * scalar for idx, c in self.terms.items()}
+        return self._of(getattr(self, self._TAG), canonical(terms))
 
     __rmul__ = __mul__
 
@@ -149,19 +165,21 @@ class Element(LinearCombinationOps):
         return not self.terms
 
 
-def _apply_matrix(terms: dict, matrix: Matrix, space: Space, n: int) -> dict:
-    """The image of ``terms`` under a stored matrix, summed in ``int`` over the
-    terms' common denominator and divided once per coordinate."""
-    indices, index, rows = space.indices(n), space.index(n), matrix.rows
+def _apply_matrices(terms: dict, space: Space, n: int, *matrices: Matrix) -> dict:
+    """The image of ``terms`` under the stored matrices in turn, as one ``int``
+    vector over one denominator, divided once per coordinate at the end."""
+    indices, index = space.indices(n), space.index(n)
     # a set: a tuple made from a generator on each call kept 0.4 MB more alive
-    scale = lcm(*{c.denominator for c in terms.values()})
-    out = [0] * len(indices)
-    for idx, c in terms.items():
-        c = c.numerator * (scale // c.denominator)
-        for j, entry in zip(*rows[index[idx]]):
-            out[j] += c * entry
-    den = scale * matrix.den
-    return {indices[j]: _ratio(v, den) for j, v in enumerate(out) if v}
+    den = lcm(*{c.denominator for c in terms.values()})
+    vector = {index[idx]: c.numerator * (den // c.denominator) for idx, c in terms.items()}
+    for matrix in matrices:
+        out, rows = [0] * len(indices), matrix.rows
+        for i, c in vector.items():
+            for j, entry in zip(*rows[i]):
+                out[j] += c * entry
+        vector = {j: v for j, v in enumerate(out) if v}
+        den *= matrix.den
+    return {indices[j]: _ratio(v, den) for j, v in vector.items()}
 
 
 def convert_terms(space: Space, terms: dict, source: str, target: str) -> dict:
@@ -175,11 +193,10 @@ def convert_terms(space: Space, terms: dict, source: str, target: str) -> dict:
         by_degree.setdefault(sum(idx), {})[idx] = c
     converted = {}
     for n, part in by_degree.items():
-        if source != space.hub:
-            part = _apply_matrix(part, space.to_hub(source, n), space, n)
+        route = [space.to_hub(source, n)] if source != space.hub else []
         if target != space.hub:
-            part = _apply_matrix(part, space.from_hub(target, n), space, n)
-        converted.update(part)
+            route.append(space.from_hub(target, n))
+        converted.update(_apply_matrices(part, space, n, *route))
     return converted
 
 
@@ -187,7 +204,7 @@ def convert(x: Element, target: str) -> Element:
     """Express ``x`` in the ``target`` basis of its space."""
     if target == x.basis:
         return x
-    return type(x)(target, convert_terms(x.space, x.terms, x.basis, target))
+    return x._of(target, convert_terms(x.space, x.terms, x.basis, target))
 
 
 def transition_matrix(space: Space, source: str, target: str, n: int) -> Matrix:

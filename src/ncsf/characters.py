@@ -5,7 +5,8 @@ A class function of degree n stores one exact rational per partition of n
 the z-weighted power-sum expansion; its inverse reads the values back off
 the power-sum coordinates and insists they are integers, which catches
 pipeline corruption early.  ``theta`` evaluates descent-algebra elements
-as class functions through the Young characters, and
+as class functions through the ribbon characters, Moebius sums of Young
+characters cached per composition, and
 ``verify_main_theorem`` checks, for one degree, that the preimages of the
 (Young) noncommutative Schur elements are noncommutative irreducible
 characters, together with the commuting square relating the four maps.
@@ -19,6 +20,7 @@ from .compositions import (
     Composition,
     check_composition,
     check_partition,
+    coarsenings,
     compositions_of,
     format_composition,
     partitions_of,
@@ -145,39 +147,31 @@ def class_products(f: ClassFunction, g: ClassFunction, mode: str) -> ClassFuncti
     raise ValueError(f"mode must be 'pointwise' or 'induction': {mode!r}")
 
 
+@cache
+def _ribbon_character(beta: Composition) -> tuple:
+    """theta of the equal-descent-set class sum of ``beta``, the ribbon
+    character, as its integer values over the partitions of n in order: the
+    Moebius sum of the Young characters over the coarsenings of ``beta``."""
+    values = [0] * len(partitions_of(sum(beta)))
+    for alpha in coarsenings(beta):
+        for i, value in enumerate(young_character(alpha).values.values()):
+            values[i] += (-1) ** (len(beta) - len(alpha)) * value.numerator
+    return tuple(values)
+
+
 def theta(d: GroupAlgebraElement) -> ClassFunction:
-    """Evaluate a descent-span element as a class function, by rewriting it
-    over the contained-descent-set sums and sending the sum of alpha to the
-    Young character of alpha."""
+    """Evaluate a descent-span element as a class function: the sum over its
+    equal-descent-set coordinates c_beta of c_beta times the ribbon
+    character of beta (``_ribbon_character``)."""
     coords = descent_span_coordinates(d)
     if coords is None:
         raise NotInDescentSpanError(
             f"element of degree {d.n} is not constant on descent classes"
         )
-    n = d.n
-    if n == 0:
-        return ClassFunction(0, {(): coords.get((), 0)})
-    # mobius inversion over subsets of the cut set: delta coords -> xi coords
-    xi_coords: dict[Composition, int | Fraction] = {}
+    values = [0] * len(partitions_of(d.n))
     for beta, c in coords.items():
-        cuts = [sum(beta[: i + 1]) for i in range(len(beta) - 1)]
-        for mask in range(1 << len(cuts)):
-            subset = [cuts[i] for i in range(len(cuts)) if mask >> i & 1]
-            sign = -1 if (len(cuts) - len(subset)) % 2 else 1
-            alpha = tuple(
-                b - a
-                for a, b in zip([0] + subset, subset + [n])
-            )
-            xi_coords[alpha] = xi_coords.get(alpha, 0) + sign * c
-    values = {mu: 0 for mu in partitions_of(n)}
-    for alpha, c in xi_coords.items():
-        if not c:
-            continue
-        # Young character values are integers, so integer coordinates
-        # accumulate in int arithmetic
-        for mu, value in young_character(alpha).values.items():
-            values[mu] += c * value.numerator
-    return ClassFunction(n, values)
+        values = [v + c * r for v, r in zip(values, _ribbon_character(beta))]
+    return ClassFunction(d.n, dict(zip(partitions_of(d.n), values)))
 
 
 def noncommutative_character(alpha, family: str) -> GroupAlgebraElement:

@@ -25,6 +25,7 @@ from .nsym import NSYM
 from .qsym import QSYM
 from .sym import SYM
 from .tableaux import (
+    _count_syct,
     descent_composition_syct,
     descent_composition_syt,
     enumerate_syct,
@@ -118,6 +119,9 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_tableaux(args) -> int:
     shape = _parse_index(args.shape)
+    if args.kind == "syct" and not args.list:
+        print(_count_syct(shape))  # counted as chains, not listed
+        return 0
     if args.kind == "syct":
         tableaux = enumerate_syct(shape)
         descents = [descent_composition_syct(t) for t in tableaux]

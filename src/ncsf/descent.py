@@ -7,17 +7,23 @@ the two standard spanning families, and ``psi`` / ``psi_inverse`` realize
 the linear isomorphism with NSym that sends the equal-descent-set class
 sum of alpha to the ribbon element of alpha.
 
+Inputs are checked at the public constructors; the elements built here
+from checked ones (``xi``, ``delta``, ``convolve``, ``psi_inverse``, sums
+and multiples) are not checked again.
+
 Building a group algebra of degree above the configured bound (default 8,
 override with the NCSF_MAX_N environment variable) raises
 ResourceLimitError: degree 9 already means 362880 basis permutations.
 """
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, permutations
+from operator import itemgetter
 
-from ._linear import LinearCombinationOps, normalize_terms
+from ._linear import LinearCombinationOps, canonical, normalize_terms
 from .compositions import Composition, Partition, check_composition, comp_of
 from .errors import DegreeMismatchError, NotInDescentSpanError, ResourceLimitError
 from .nsym import NSymElement, nsym_convert
@@ -175,12 +181,9 @@ def xi(alpha) -> GroupAlgebraElement:
     alpha = check_composition(alpha)
     n = sum(alpha)
     target = set(_cut_points(alpha))
-    terms = {}
-    for descents, sigmas in descent_classes(n).items():
-        if set(descents) <= target:
-            for sigma in sigmas:
-                terms[sigma] = 1
-    return GroupAlgebraElement(n, terms)
+    classes = descent_classes(n).items()
+    sigmas = (s for descents, sigmas in classes if set(descents) <= target for s in sigmas)
+    return GroupAlgebraElement._of(n, dict.fromkeys(sigmas, 1))
 
 
 def delta(alpha) -> GroupAlgebraElement:
@@ -189,20 +192,28 @@ def delta(alpha) -> GroupAlgebraElement:
     alpha = check_composition(alpha)
     n = sum(alpha)
     sigmas = descent_classes(n).get(_cut_points(alpha), ())
-    return GroupAlgebraElement(n, {sigma: 1 for sigma in sigmas})
+    return GroupAlgebraElement._of(n, dict.fromkeys(sigmas, 1))
 
 
 def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """The group-ring product, extending permutation composition bilinearly."""
+    """The group-ring product, extending permutation composition bilinearly.
+    sigma . tau is ``itemgetter(*tau)`` applied to ``(0, *sigma)``; for each
+    tau the products of each weight c1 c2 are counted in C."""
     if a.n != b.n:
         raise DegreeMismatchError(f"degrees differ: {a.n} vs {b.n}")
-    out = {}
-    for sigma, c1 in a.terms.items():
-        image = (0, *sigma).__getitem__
-        for tau, c2 in b.terms.items():
-            product = tuple(map(image, tau))
-            out[product] = out.get(product, 0) + c1 * c2
-    return GroupAlgebraElement(a.n, out)
+    sigmas_of = {}
+    for sigma, c in a.terms.items():
+        sigmas_of.setdefault(c, []).append((0, *sigma))
+    counts = {}
+    for tau, c2 in b.terms.items():
+        # below degree 2 tau is the identity and itemgetter(*tau) gives no tuple
+        compose_tau = itemgetter(*tau) if a.n > 1 else itemgetter(slice(1, None))
+        for c1, sigmas in sigmas_of.items():
+            counts.setdefault(c1 * c2, Counter()).update(map(compose_tau, sigmas))
+    out = Counter()
+    for weight, products in counts.items():
+        out.update({sigma: weight * k for sigma, k in products.items()})
+    return GroupAlgebraElement._of(a.n, canonical(out))
 
 
 def descent_span_coordinates(a: GroupAlgebraElement):
@@ -247,4 +258,4 @@ def psi_inverse(f: NSymElement) -> GroupAlgebraElement:
     classes = descent_classes(n)
     # distinct compositions have disjoint descent classes
     out = {sigma: c for alpha, c in r.terms.items() for sigma in classes[_cut_points(alpha)]}
-    return GroupAlgebraElement(n, out)
+    return GroupAlgebraElement._of(n, out)

@@ -124,7 +124,7 @@ def nsym_convert(x: NSymElement, target: str) -> NSymElement:
 def nsym_multiply(x: NSymElement, y: NSymElement) -> NSymElement:
     """Product in the free algebra: indices concatenate in the H basis."""
     xh, yh = nsym_convert(x, "H"), nsym_convert(y, "H")
-    return nsym_convert(NSymElement("H", product_terms(xh.terms, yh.terms, add)), x.basis)
+    return nsym_convert(NSymElement._of("H", product_terms(xh.terms, yh.terms, add)), x.basis)
 
 
 def star_antiautomorphism(x: NSymElement) -> NSymElement:

@@ -201,7 +201,7 @@ def sym_convert(x: SymElement, target: str) -> SymElement:
 def sym_multiply(x: SymElement, y: SymElement) -> SymElement:
     """Product in Sym, computed through the multiplicative power-sum basis."""
     xp, yp = sym_convert(x, "p"), sym_convert(y, "p")
-    return sym_convert(SymElement("p", product_terms(xp.terms, yp.terms, _merge)), x.basis)
+    return sym_convert(SymElement._of("p", product_terms(xp.terms, yp.terms, _merge)), x.basis)
 
 
 def schur(lam) -> SymElement:

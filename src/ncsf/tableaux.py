@@ -327,6 +327,18 @@ def _covers(shape: Composition):
 
 
 @cache
+def _count_syct(shape: Composition) -> int:
+    """The SYCTs of ``shape``: chains summed over the shapes it covers."""
+    if not shape:
+        return 1
+    total = _count_syct(shape[:-1]) if shape[-1] == 1 else 0
+    for i, k in enumerate(shape):
+        if k > 1 and k - 1 not in shape[i + 1 :]:
+            total += _count_syct(shape[:i] + (k - 1,) + shape[i + 1 :])
+    return total
+
+
+@cache
 def dhat_rows(n: int) -> Matrix:
     """``dhat_matrix(n)`` as a stored sparse matrix, by counting chains.
 

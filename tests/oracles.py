@@ -9,7 +9,8 @@ Jacobi-Trudi determinants, every assignment of parts to blocks (or a
 per-entry memoized count of them) for monomial coefficients of power sums,
 cut-set inclusion for the Moebius function of the refinement order,
 Fraction arithmetic over one-line tuples for the group-ring product and
-the descent-class coordinates, and dense Fraction-generic linear algebra
+the descent-class coordinates, the Moebius inversion of those coordinates
+to contained-descent-set coordinates for theta, and dense Fraction-generic linear algebra
 (Gauss-Jordan inversion, products, transposes and the application of a
 matrix to sparse terms) for the library's sparse integer matrices.
 """
@@ -21,11 +22,14 @@ from itertools import accumulate, permutations, product
 from math import factorial
 
 from ncsf import (
+    ClassFunction,
     compositions_of,
     descent_composition_syct,
     enumerate_syct,
     is_valid_syct,
+    partitions_of,
     sym_convert,
+    young_character,
     z_stat,
 )
 from ncsf.compositions import composition_index
@@ -276,6 +280,30 @@ def descent_span_coordinates_by_fractions(a):
         if value:
             coords[key] = value
     return coords
+
+
+def theta_by_mobius(d) -> ClassFunction:
+    """theta of a descent-span element: its class-sum coordinates are
+    rewritten over the contained-descent-set sums by Moebius inversion over
+    the subsets of each cut set, and the sum of alpha goes to the Young
+    character of alpha."""
+    coords = descent_span_coordinates_by_fractions(d)
+    n = d.n
+    if n == 0:
+        return ClassFunction(0, {(): coords.get((), 0)})
+    xi_coords = {}
+    for beta, c in coords.items():
+        cuts = [sum(beta[: i + 1]) for i in range(len(beta) - 1)]
+        for mask in range(1 << len(cuts)):
+            subset = [cuts[i] for i in range(len(cuts)) if mask >> i & 1]
+            sign = -1 if (len(cuts) - len(subset)) % 2 else 1
+            alpha = tuple(b - a for a, b in zip([0] + subset, subset + [n]))
+            xi_coords[alpha] = xi_coords.get(alpha, 0) + sign * c
+    values = {mu: Fraction(0) for mu in partitions_of(n)}
+    for alpha, c in xi_coords.items():
+        for mu, value in young_character(alpha).values.items():
+            values[mu] += c * value
+    return ClassFunction(n, values)
 
 
 def identity(k: int) -> tuple:

@@ -30,6 +30,7 @@ from ncsf.errors import (
     InternalConsistencyError,
     NotInDescentSpanError,
 )
+from ncsf.characters import _ribbon_character
 from ncsf.descent import group_algebra_element
 
 from oracles import murnaghan_nakayama, young_character_by_cosets
@@ -157,6 +158,13 @@ def test_theta_of_delta_one_two():
     got = theta(delta((1, 2)))
     assert got.values == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
     assert got == irreducible_character((2, 1))
+
+
+def test_ribbon_character_at_the_identity_class_counts_the_descent_class():
+    for n in range(9):
+        identity_class = partitions_of(n).index((1,) * n)
+        for beta in compositions_of(n):
+            assert _ribbon_character(beta)[identity_class] == len(delta(beta).terms)
 
 
 def test_theta_requires_descent_span():

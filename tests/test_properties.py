@@ -10,11 +10,15 @@ random integer matrices: the substitution inverse of a unitriangular
 matrix with permuted indices is its inverse, equal to the Gauss-Jordan
 one, and on any matrix it either refuses or returns the inverse.  On
 random group-algebra elements of degree at most 5: ``convolve`` and
-``descent_span_coordinates`` equal their Fraction oracles, and theta of a
-product of contained-descent-set sums is the pointwise product of Young
-characters.  Every stored coefficient is an ``int`` or a ``Fraction`` with
-denominator above 1, whatever operation made it.  The examples are
-derandomized, so every run draws the same ones.
+``descent_span_coordinates`` equal their Fraction oracles, also where the
+weights of a product cancel, and theta of a product of contained-descent-set
+sums is the pointwise product of Young characters.  On random descent-span
+elements of degree at most 6, theta through the cached ribbon characters
+equals the Moebius sum over Young characters.  Every stored coefficient is
+an ``int`` or a ``Fraction`` with denominator above 1, whatever operation
+made it, and every result the library builds without checking equals its
+checked copy.  The examples are derandomized, so every run draws the same
+ones.
 """
 
 from fractions import Fraction
@@ -34,18 +38,21 @@ from ncsf import (
     SymElement,
     ch_inverse,
     class_products,
+    compose,
     convolve,
     delta,
     descent_span_coordinates,
     nsym_convert,
+    nsym_multiply,
     psi_inverse,
     qsym_convert,
     sym_convert,
+    sym_multiply,
     theta,
     xi,
     young_character,
 )
-from ncsf._linear import _apply_matrix, dense_rows, transition_matrix
+from ncsf._linear import _apply_matrices, dense_rows, transition_matrix
 from ncsf.compositions import compositions_of, partitions_of
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import invert_unitriangular
@@ -61,6 +68,7 @@ from oracles import (
     invert,
     matmul,
     stored,
+    theta_by_mobius,
 )
 
 TOP = 5
@@ -137,9 +145,13 @@ def test_sparse_kernel_equals_the_dense_oracle(space, source, target, data):
         order = of_degree(n)
         terms = data.draw(st.dictionaries(st.sampled_from(order), scalars, max_size=4))
         matrix = transition_matrix(cls.space, source, target, n)
-        got = _apply_matrix(terms, matrix, cls.space, n)
+        got = _apply_matrices(terms, cls.space, n, matrix)
         assert got == apply_matrix(terms, dense_rows(matrix), order)
         assert _stored_exactly(got.values())
+        if cls.space.hub not in (source, target):
+            # the conversion route: both matrices, divided once at the end
+            route = (cls.space.to_hub(source, n), cls.space.from_hub(target, n))
+            assert _apply_matrices(terms, cls.space, n, *route) == got
 
 
 MATRICES = settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -210,6 +222,40 @@ def test_group_algebra_fast_paths_equal_their_oracles(data):
         assert theta(convolve(c * xi(alpha), xi(beta))) == want
 
 
+@GROUP
+@given(data=st.data())
+def test_convolve_drops_weights_that_cancel(data):
+    """a = w sigma - w rho and b = tau + rho^-1 sigma tau: the products
+    (sigma, tau) and (rho, rho^-1 sigma tau) meet with weights w and -w."""
+    n = data.draw(st.integers(0, TOP))
+    sigma, rho, tau = (data.draw(st.permutations(range(1, n + 1)).map(tuple)) for _ in range(3))
+    w = data.draw(scalars.filter(bool))
+    rho_inverse = tuple(sorted(range(1, n + 1), key=lambda i: rho[i - 1]))
+    a = GroupAlgebraElement(n, {sigma: w}) - GroupAlgebraElement(n, {rho: w})
+    b = GroupAlgebraElement(n, {tau: 1}) + GroupAlgebraElement(
+        n, {compose(rho_inverse, compose(sigma, tau)): 1}
+    )
+    product = convolve(a, b)
+    assert product.terms == convolve_by_fractions(a, b)
+    assert _stored_exactly(product.terms.values())
+
+
+@st.composite
+def descent_span_elements(draw, n):
+    x = GroupAlgebraElement(n, {})
+    for alpha in draw(st.lists(st.sampled_from(compositions_of(n)), max_size=4)):
+        x = x + draw(scalars) * delta(alpha)
+    return x
+
+
+@GROUP
+@given(data=st.data())
+def test_theta_equals_the_mobius_sum_over_young_characters(data):
+    n = data.draw(st.integers(0, 6))
+    d = data.draw(descent_span_elements(n))
+    assert theta(d) == theta_by_mobius(d)
+
+
 def _stored_exactly(values) -> bool:
     return all(
         type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values
@@ -236,6 +282,30 @@ def test_stored_coefficients_are_int_or_a_proper_fraction(data):
     g = SymElement("s", {lam: data.draw(st.integers(1, 3)) for lam in partitions_of(n)})
     for values in (theta(psi_inverse(f)).values, ch_inverse(g).values):
         assert all(type(v) is Fraction for v in values.values())
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_results_built_unchecked_equal_their_checked_copies(data):
+    c = data.draw(scalars)
+    built = []
+    for space, (cls, convert, _, bases, _) in SPACES.items():
+        source, target = (data.draw(st.sampled_from(bases)) for _ in range(2))
+        x, y = (cls(source, data.draw(MIXED_TERMS[space])) for _ in range(2))
+        built += [convert(x, target), x + y, x - y, -x, x * c, c * x]
+        if space != "qsym":
+            built.append((nsym_multiply if space == "nsym" else sym_multiply)(x, y))
+    n = data.draw(st.integers(0, TOP))
+    a, b = data.draw(group_elements(n)), data.draw(group_elements(n))
+    alpha = data.draw(st.sampled_from(compositions_of(n)))
+    basis = data.draw(st.sampled_from(NSYM_BASES))
+    f = NSymElement(basis, {beta: data.draw(scalars) for beta in compositions_of(n)})
+    built += [a + b, a - b, -a, a * c, c * a, convolve(a, b), xi(alpha), delta(alpha)]
+    built.append(psi_inverse(f))
+    for z in built:
+        checked = type(z)(getattr(z, z._TAG), dict(z.terms))
+        assert z.terms == checked.terms
+        assert all(type(v) is type(checked.terms[k]) for k, v in z.terms.items())
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from ncsf import (
 )
 from ncsf.errors import DegreeMismatchError, MalformedFillingError
 from ncsf.linalg import invert_unitriangular
-from ncsf.tableaux import CompositionDiagram, dhat_rows
+from ncsf.tableaux import CompositionDiagram, _count_syct, dhat_rows
 
 from oracles import (
     INVOLUTIONS,
@@ -171,6 +171,13 @@ def test_dhat_matrix_invertible():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_chain_count_equals_syct_enumeration(n):
     assert dhat_rows(n) == dhat_by_enumeration(n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_syct_count_per_shape_equals_the_enumeration_and_the_dhat_row_sum(n):
+    row_sums = [sum(vals) for _, vals in dhat_rows(n).rows] if n else [1]
+    for alpha, row_sum in zip(compositions_of(n), row_sums):
+        assert _count_syct(alpha) == len(enumerate_syct(alpha)) == row_sum
 
 
 @pytest.mark.parametrize("n", (10, 11))
