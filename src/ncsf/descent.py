@@ -17,7 +17,7 @@ ResourceLimitError: degree 9 already means 362880 basis permutations.
 """
 
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, permutations
@@ -204,12 +204,12 @@ def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElem
     sigmas_of = {}
     for sigma, c in a.terms.items():
         sigmas_of.setdefault(c, []).append((0, *sigma))
-    counts = {}
+    counts = defaultdict(Counter)
     for tau, c2 in b.terms.items():
         # below degree 2 tau is the identity and itemgetter(*tau) gives no tuple
         compose_tau = itemgetter(*tau) if a.n > 1 else itemgetter(slice(1, None))
         for c1, sigmas in sigmas_of.items():
-            counts.setdefault(c1 * c2, Counter()).update(map(compose_tau, sigmas))
+            counts[c1 * c2].update(map(compose_tau, sigmas))
     out = Counter()
     for weight, products in counts.items():
         out.update({sigma: weight * k for sigma, k in products.items()})
