@@ -120,7 +120,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_tableaux(args) -> int:
     shape = _parse_index(args.shape)
     if args.kind == "syct" and not args.list:
-        print(_count_syct(shape))  # counted as chains, not listed
+        print(_count_syct(shape))
         return 0
     if args.kind == "syct":
         tableaux = enumerate_syct(shape)
