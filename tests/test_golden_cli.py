@@ -10,8 +10,9 @@ of every space at n <= 5 (JSON and CSV), in JSON at the larger degrees of
 6 and 7, every ``verify`` suite at n <= 4 and at the degrees of
 ``_VERIFY_LARGE`` (text and ``--json``), the conversions of ``_CONVERT`` at
 the ``convert`` degree 8 in JSON, ``tableaux syct`` for every composition
-of n <= 5 and ``tableaux syt`` for every partition of n <= 6 (``--count``
-and ``--list``), and a few refusals.  One more test checks
+of n <= 5 and ``tableaux syt`` for every partition of n <= 7 (``--count``
+and ``--list``), ``tableaux syct --list`` for every composition of 6, and
+a few refusals.  One more test checks
 QSym's M -> F matrix at n = 10 entry by entry against the Moebius sign sum.
 
 To record the digests again (only when an output is meant to change):
@@ -102,6 +103,13 @@ def _commands() -> dict:
         for kind, shapes, top in (("syct", compositions_of, 5), ("syt", partitions_of, 6))
         for n in range(top + 1)
         for shape in shapes(n)
+        for mode in ("--count", "--list")
+    ]
+    groups["tableaux-large"] = [
+        ["tableaux", "syct", "--shape", _label(alpha), "--list"] for alpha in compositions_of(6)
+    ] + [
+        ["tableaux", "syt", "--shape", _label(lam), mode]
+        for lam in partitions_of(7)
         for mode in ("--count", "--list")
     ]
     groups["char"] = [
