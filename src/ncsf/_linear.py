@@ -5,8 +5,9 @@ basis (``h``, ``F`` and ``H``), a checker and a canonical order for the
 indices of each degree, and two per-degree matrix builders.  ``to_hub(b, n)``
 has one row per degree-n element of basis ``b``, holding its hub
 coordinates; ``from_hub(b, n)`` holds the ``b`` coordinates of each hub
-element.  Every conversion and transition matrix goes through the hub, so
-a space module supplies only those builders and its own operations.
+element.  Every conversion and transition matrix takes the one route
+``_route`` gives, through the hub, so a space module supplies only those
+builders and its own operations.
 Matrices are stored sparse (``linalg.Matrix``); only ``dense_rows`` densifies.
 
 An element is a frozen ``Element`` subclass that names its space; the
@@ -182,6 +183,15 @@ def _apply_matrices(terms: dict, space: Space, n: int, *matrices: Matrix) -> dic
     return {indices[j]: _ratio(v, den) for j, v in vector.items()}
 
 
+def _route(space: Space, source: str, target: str, n: int) -> list:
+    """The cached degree-n matrices that take ``source`` coordinates to
+    ``target`` ones, in order: through the hub, none when the bases agree."""
+    route = [space.to_hub(source, n)] if source not in (target, space.hub) else []
+    if target not in (source, space.hub):
+        route.append(space.from_hub(target, n))
+    return route
+
+
 def convert_terms(space: Space, terms: dict, source: str, target: str) -> dict:
     """The ``target`` coordinates of the ``source``-basis ``terms``, found
     degree by degree through the hub."""
@@ -193,10 +203,7 @@ def convert_terms(space: Space, terms: dict, source: str, target: str) -> dict:
         by_degree.setdefault(sum(idx), {})[idx] = c
     converted = {}
     for n, part in by_degree.items():
-        route = [space.to_hub(source, n)] if source != space.hub else []
-        if target != space.hub:
-            route.append(space.from_hub(target, n))
-        converted.update(_apply_matrices(part, space, n, *route))
+        converted.update(_apply_matrices(part, space, n, *_route(space, source, target, n)))
     return converted
 
 
@@ -213,10 +220,7 @@ def transition_matrix(space: Space, source: str, target: str, n: int) -> Matrix:
     canonical index order."""
     for basis in (source, target):
         space.check_basis(basis)
-    if source == target:
-        return identity(len(space.indices(n)))
-    if source == space.hub:
-        return space.from_hub(target, n)
-    if target == space.hub:
-        return space.to_hub(source, n)
-    return matmul(space.to_hub(source, n), space.from_hub(target, n))
+    route = _route(space, source, target, n)
+    if len(route) == 2:
+        return matmul(*route)
+    return route[0] if route else identity(len(space.indices(n)))

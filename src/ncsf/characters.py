@@ -85,7 +85,12 @@ class ClassFunction:
         object.__setattr__(self, "values", {mu: out[mu] for mu in expected})
 
     def __call__(self, mu) -> Fraction:
-        return self.values[check_partition(mu)]
+        mu = check_partition(mu)
+        if sum(mu) != self.n:
+            raise DegreeMismatchError(
+                f"cycle type {mu} has degree {sum(mu)}; the class function has degree {self.n}"
+            )
+        return self.values[mu]
 
 
 def class_function(n: int, values) -> ClassFunction:

@@ -25,7 +25,9 @@ from .nsym import NSYM
 from .qsym import QSYM
 from .sym import SYM
 from .tableaux import (
-    _count_syct,
+    _count_chains,
+    _syct_uncovers,
+    _syt_uncovers,
     descent_composition_syct,
     descent_composition_syt,
     enumerate_syct,
@@ -36,6 +38,11 @@ from .verification import SUITES, run_suite
 __all__ = ["main", "run", "build_parser"]
 
 SPACES = {"sym": SYM, "qsym": QSYM, "nsym": NSYM}
+# kind -> (cover rule undone, lister, descent composition)
+_TABLEAUX = {
+    "syct": (_syct_uncovers, enumerate_syct, descent_composition_syct),
+    "syt": (_syt_uncovers, enumerate_syt, descent_composition_syt),
+}
 
 
 class UsageError(NcsfError):
@@ -119,25 +126,17 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_tableaux(args) -> int:
     shape = _parse_index(args.shape)
-    if args.kind == "syct" and not args.list:
-        print(_count_syct(shape))
+    if args.kind == "syt" and any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
+        raise UsageError(f"syt shapes are partitions (weakly decreasing): {args.shape!r}")
+    uncovers, enumerate_shape, descents = _TABLEAUX[args.kind]
+    if not args.list:
+        print(_count_chains(shape, uncovers))
         return 0
-    if args.kind == "syct":
-        tableaux = enumerate_syct(shape)
-        descents = [descent_composition_syct(t) for t in tableaux]
-    else:
-        if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-            raise UsageError(f"syt shapes are partitions (weakly decreasing): {args.shape!r}")
-        tableaux = enumerate_syt(shape)
-        descents = [descent_composition_syt(t) for t in tableaux]
-    if args.list:
-        payload = [
-            {"rows": [list(row) for row in t.rows], "descent_composition": list(d)}
-            for t, d in zip(tableaux, descents)
-        ]
-        print(serialize.to_json(payload))
-    else:
-        print(len(tableaux))
+    payload = [
+        {"rows": [list(row) for row in t.rows], "descent_composition": list(descents(t))}
+        for t in enumerate_shape(shape)
+    ]
+    print(serialize.to_json(payload))
     return 0
 
 

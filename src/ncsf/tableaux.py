@@ -19,6 +19,10 @@ composition poset (Bessenrodt, Luoto and van Willigenburg, Adv. Math. 226,
 2011), entry m being the cell added at step m.  Here a cover adds a new top
 row of length 1, or a cell to the highest-index row of each distinct length
 k, in column k+1; taking the lowest-index row gives wrong counts from n=3.
+SYTs of shape lam are likewise the saturated chains from () to lam in
+Young's lattice, a cover adding a corner.  Both kinds are listed
+(``_chains``) and counted (``_count_chains``) from their cover rule undone,
+without recursion, so no shape is too long for Python's recursion limit.
 i is a descent of an SYCT when i+1 is in the column of i or further left.
 """
 
@@ -184,64 +188,9 @@ class SYT:
 
 @cache
 def enumerate_syct(alpha: Composition) -> tuple[SYCT, ...]:
-    """All SYCTs of shape ``alpha``, ordered lexicographically by reading word.
-
-    Values are placed n, n-1, ..., 1; in each row the filled cells are then
-    always a suffix, which lets the three conditions be checked as each value
-    is placed.
-    """
+    """All SYCTs of shape ``alpha``, ordered lexicographically by reading word."""
     alpha = check_composition(alpha)
-    n = sum(alpha)
-    if n == 0:
-        return (SYCT((), ()),)
-    ell = len(alpha)
-    grid = [[0] * alpha[i] for i in range(ell)]
-    rem = list(alpha)  # unfilled cells per row; next cell is column rem[i]-1
-    found = []
-
-    def place(value):
-        if value == 0:
-            found.append(tuple(tuple(row) for row in grid))
-            return
-        for i in range(ell):
-            k = rem[i]
-            if k == 0:
-                continue
-            c = k - 1
-            if c == 0:
-                # first-column entries must end up increasing bottom to top,
-                # so rows above must be done and rows below must not be
-                if any(rem[m] for m in range(i + 1, ell)):
-                    continue
-                if any(rem[m] == 0 for m in range(i)):
-                    continue
-            ok = True
-            for m in range(i):
-                # once (m, c+1) is filled the triple condition bites, since
-                # the new entry is the smallest placed so far
-                if alpha[m] >= c + 2 and rem[m] <= c + 1:
-                    if alpha[i] < c + 2 or grid[i][c + 1] >= grid[m][c + 1]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            grid[i][c] = value
-            rem[i] = c
-            place(value - 1)
-            grid[i][c] = 0
-            rem[i] = k
-
-    place(n)
-    found.sort()
-    return tuple(SYCT(alpha, rows) for rows in found)
-
-
-def _column_of(tableau) -> dict[int, int]:
-    return {
-        value: j + 1
-        for row in tableau.rows
-        for j, value in enumerate(row)
-    }
+    return tuple(SYCT(alpha, rows) for rows in _chains(alpha, _syct_uncovers))
 
 
 def descent_composition_syct(tableau: SYCT) -> Composition:
@@ -249,7 +198,7 @@ def descent_composition_syct(tableau: SYCT) -> Composition:
     n = tableau.size
     if n == 0:
         return ()
-    col = _column_of(tableau)
+    col = {value: j for row in tableau.rows for j, value in enumerate(row)}
     descents = [i for i in range(1, n) if col[i + 1] <= col[i]]
     return comp_of(descents, n)
 
@@ -289,33 +238,7 @@ def rho_bar(tableau: SYCT) -> SYT:
 def enumerate_syt(lam: Partition) -> tuple[SYT, ...]:
     """All SYTs of shape ``lam``, ordered lexicographically by reading word."""
     lam = check_partition(lam)
-    n = sum(lam)
-    if n == 0:
-        return (SYT((), ()),)
-    ell = len(lam)
-    grid = [[0] * lam[i] for i in range(ell)]
-    filled = [0] * ell  # cells filled so far in each row, left to right
-    found = []
-
-    def place(value):
-        if value > n:
-            found.append(tuple(tuple(row) for row in grid))
-            return
-        for i in range(ell):
-            j = filled[i]
-            if j >= lam[i]:
-                continue
-            if i > 0 and filled[i - 1] <= j:
-                continue
-            grid[i][j] = value
-            filled[i] += 1
-            place(value + 1)
-            filled[i] -= 1
-            grid[i][j] = 0
-
-    place(1)
-    found.sort()
-    return tuple(SYT(lam, rows) for rows in found)
+    return tuple(SYT(lam, rows) for rows in _chains(lam, _syt_uncovers))
 
 
 def _covers(shape: Composition):
@@ -326,16 +249,60 @@ def _covers(shape: Composition):
             yield shape[:i] + (k + 1,) + shape[i + 1 :], k + 1
 
 
-@cache
-def _count_syct(shape: Composition) -> int:
-    """The SYCTs of ``shape``: chains summed over the shapes it covers."""
-    if not shape:
-        return 1
-    total = _count_syct(shape[:-1]) if shape[-1] == 1 else 0
+def _syct_uncovers(shape: Composition):
+    """The shapes ``shape`` covers, each with the cell (row, column) it lacks:
+    ``_covers`` undone."""
+    if shape and shape[-1] == 1:
+        yield shape[:-1], (len(shape), 1)
     for i, k in enumerate(shape):
         if k > 1 and k - 1 not in shape[i + 1 :]:
-            total += _count_syct(shape[:i] + (k - 1,) + shape[i + 1 :])
-    return total
+            yield shape[:i] + (k - 1,) + shape[i + 1 :], (i + 1, k)
+
+
+def _syt_uncovers(lam: Partition):
+    """The partitions ``lam`` covers, each with the corner (row, column) it lacks."""
+    for i, k in enumerate(lam):
+        if i + 1 == len(lam) or lam[i + 1] < k:
+            yield lam[:i] + ((k - 1,) if k > 1 else ()) + lam[i + 1 :], (i + 1, k)
+
+
+def _count_chains(shape, uncovers) -> int:
+    """The saturated chains from () to ``shape``: the shapes below it are
+    collected level by level, then counts are summed upward from ()."""
+    below, level = {}, {shape}
+    for _ in range(sum(shape)):
+        for s in level:
+            below[s] = [t for t, _ in uncovers(s)]
+        level = {t for s in level for t in below[s]}
+    count = {(): 1}
+    for s in reversed(below):
+        count[s] = sum(count[t] for t in below[s])
+    return count[shape]
+
+
+def _chains(shape, uncovers) -> list:
+    """The saturated chains from () to ``shape`` as sorted row tuples, entry
+    m in the cell added at step m, by a depth-first walk down from ``shape``.
+
+    Steps are taken last in, first out, so when a step is taken the cells
+    of the larger entries still hold the chain it extends."""
+    rows, found = [[0] * k for k in shape], [] if shape else [()]
+    below = cache(lambda s: [(t, cell, sum(s)) for t, cell in uncovers(s)])
+    steps = list(below(shape))
+    while steps:
+        smaller, (i, j), m = steps.pop()
+        rows[i - 1][j - 1] = m
+        if smaller:
+            steps.extend(below(smaller))
+        else:
+            found.append(tuple(map(tuple, rows)))
+    return sorted(found)
+
+
+@cache
+def _count_syct(shape: Composition) -> int:
+    """The SYCTs of ``shape``, counted as chains."""
+    return _count_chains(shape, _syct_uncovers)
 
 
 @cache

@@ -3,16 +3,19 @@
 Everything here recomputes expected values by a route different from the
 library code under test: hook lengths for tableau counts, border-strip
 recursion for character values, explicit coset counting for induced
-characters, brute-force filtering for tableau enumeration, the listing
-of every SYCT for the ``dhat`` matrix, the full permutation sum for
-Jacobi-Trudi determinants, every assignment of parts to blocks (or a
-per-entry memoized count of them) for monomial coefficients of power sums,
-cut-set inclusion for the Moebius function of the refinement order,
-Fraction arithmetic over one-line tuples for the group-ring product and
-the descent-class coordinates, the Moebius inversion of those coordinates
-to contained-descent-set coordinates for theta, and dense Fraction-generic linear algebra
-(Gauss-Jordan inversion, products, transposes and the application of a
-matrix to sparse terms) for the library's sparse integer matrices.
+characters, brute-force filtering for tableau enumeration, a backtracker
+that places n, n-1, ..., 1 under the three SYCT conditions cell by cell
+(the reference for the library's chain listing of SYCTs and for the
+``dhat`` matrix), the full permutation sum for Jacobi-Trudi determinants,
+every assignment of parts to blocks (or a per-entry memoized count of
+them) for monomial coefficients of power sums, cut-set inclusion for the
+Moebius function of the refinement order, Fraction arithmetic over
+one-line tuples for the group-ring product and the descent-class
+coordinates, the Moebius inversion of those coordinates to
+contained-descent-set coordinates for theta, and dense Fraction-generic
+linear algebra (Gauss-Jordan inversion, products, transposes and the
+application of a matrix to sparse terms) for the library's sparse integer
+matrices.
 """
 
 from collections import Counter
@@ -22,10 +25,10 @@ from itertools import accumulate, permutations, product
 from math import factorial
 
 from ncsf import (
+    SYCT,
     ClassFunction,
     compositions_of,
     descent_composition_syct,
-    enumerate_syct,
     is_valid_syct,
     partitions_of,
     sym_convert,
@@ -173,12 +176,68 @@ def brute_force_syct_rows(alpha) -> set:
     return out
 
 
+def syct_rows_by_backtracking(alpha) -> list:
+    """The rows of every SYCT of ``alpha``, sorted, by placing n, n-1, ..., 1
+    and checking the three conditions cell by cell as each value is placed.
+
+    In each row the filled cells are always a suffix, so the row conditions
+    hold by construction and only the first column and the triple condition
+    need a check.
+    """
+    n = sum(alpha)
+    if n == 0:
+        return [()]
+    ell = len(alpha)
+    grid = [[0] * alpha[i] for i in range(ell)]
+    rem = list(alpha)  # unfilled cells per row; next cell is column rem[i]-1
+    found = []
+
+    def place(value):
+        if value == 0:
+            found.append(tuple(tuple(row) for row in grid))
+            return
+        for i in range(ell):
+            k = rem[i]
+            if k == 0:
+                continue
+            c = k - 1
+            if c == 0:
+                # first-column entries must end up increasing bottom to top,
+                # so rows above must be done and rows below must not be
+                if any(rem[m] for m in range(i + 1, ell)):
+                    continue
+                if any(rem[m] == 0 for m in range(i)):
+                    continue
+            ok = True
+            for m in range(i):
+                # once (m, c+1) is filled the triple condition bites, since
+                # the new entry is the smallest placed so far
+                if alpha[m] >= c + 2 and rem[m] <= c + 1:
+                    if alpha[i] < c + 2 or grid[i][c + 1] >= grid[m][c + 1]:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            grid[i][c] = value
+            rem[i] = c
+            place(value - 1)
+            grid[i][c] = 0
+            rem[i] = k
+
+    place(n)
+    found.sort()
+    return found
+
+
 def dhat_by_enumeration(n: int):
-    """``dhat_rows(n)`` by listing every SYCT of each shape and reading off
-    its descent composition."""
+    """``dhat_rows(n)`` by listing every SYCT of each shape by backtracking
+    and reading off its descent composition."""
     index = composition_index(n)
     return from_rows(
-        Counter(index[descent_composition_syct(t)] for t in enumerate_syct(beta))
+        Counter(
+            index[descent_composition_syct(SYCT(beta, rows))]
+            for rows in syct_rows_by_backtracking(beta)
+        )
         for beta in compositions_of(n)
     )
 

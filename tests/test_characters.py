@@ -216,6 +216,15 @@ def test_class_function_validation():
         class_function(1, {(1,): 0.5})
 
 
+def test_class_function_at_a_cycle_type_of_another_degree_names_both_degrees():
+    chi = irreducible_character((2, 1))
+    with pytest.raises(DegreeMismatchError, match=r"degree 2.*degree 3"):
+        chi((2,))
+    with pytest.raises(DegreeMismatchError):
+        chi((2, 1, 1))
+    assert chi((3,)) == -1
+
+
 def test_verify_main_theorem_small_degrees():
     report = verify_main_theorem(1)
     assert report.all_passed

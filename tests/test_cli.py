@@ -175,6 +175,17 @@ def test_tableaux_list(capsys):
     ]
 
 
+def test_tableaux_of_a_shape_longer_than_the_recursion_limit(capsys):
+    for kind in ("syct", "syt"):
+        code, out, _ = run_cli(capsys, "tableaux", kind, "--shape", "2000", "--count")
+        assert (code, out) == (0, "1\n")
+    code, out, _ = run_cli(capsys, "tableaux", "syct", "--shape", "2000", "--list")
+    assert code == 0
+    assert json.loads(out) == [
+        {"rows": [list(range(1, 2001))], "descent_composition": [2000]}
+    ]
+
+
 def test_tableaux_rejects_bad_shape(capsys):
     code, _, err = run_cli(capsys, "tableaux", "syct", "--shape", "3,0")
     assert code == 2

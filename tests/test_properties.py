@@ -52,10 +52,12 @@ from ncsf import (
     xi,
     young_character,
 )
-from ncsf._linear import _apply_matrices, dense_rows, transition_matrix
+from ncsf._linear import _apply_matrices, _route, dense_rows, transition_matrix
 from ncsf.compositions import compositions_of, partitions_of
 from ncsf.errors import InternalConsistencyError
+from ncsf.linalg import identity as stored_identity
 from ncsf.linalg import invert_unitriangular
+from ncsf.linalg import matmul as stored_matmul
 from ncsf.nsym import transition_matrix as nsym_transition_matrix
 from ncsf.qsym import transition_matrix as qsym_transition_matrix
 from ncsf.sym import transition_matrix as sym_transition_matrix
@@ -152,6 +154,30 @@ def test_sparse_kernel_equals_the_dense_oracle(space, source, target, data):
             # the conversion route: both matrices, divided once at the end
             route = (cls.space.to_hub(source, n), cls.space.from_hub(target, n))
             assert _apply_matrices(terms, cls.space, n, *route) == got
+
+
+@pytest.mark.parametrize("space,source,target", PAIRS)
+def test_route_is_the_cached_hub_matrices_and_makes_the_transition_matrix(
+    space, source, target
+):
+    graded = SPACES[space][0].space
+    hub = graded.hub
+    for n in range(TOP + 1):
+        want = []
+        if source not in (target, hub):
+            want.append(graded.to_hub(source, n))
+        if target not in (source, hub):
+            want.append(graded.from_hub(target, n))
+        route = _route(graded, source, target, n)
+        assert len(route) == len(want)
+        assert all(got is cached for got, cached in zip(route, want))
+        matrix = transition_matrix(graded, source, target, n)
+        if not want:
+            assert matrix == stored_identity(len(graded.indices(n)))
+        elif len(want) == 1:
+            assert matrix is want[0]
+        else:
+            assert matrix == stored_matmul(*want)
 
 
 MATRICES = settings(derandomize=True, deadline=None, max_examples=200, database=None)

@@ -19,7 +19,16 @@ from ncsf import (
 )
 from ncsf.errors import DegreeMismatchError, MalformedFillingError
 from ncsf.linalg import invert_unitriangular
-from ncsf.tableaux import CompositionDiagram, _count_syct, dhat_rows
+from ncsf.tableaux import (
+    CompositionDiagram,
+    _chains,
+    _count_chains,
+    _count_syct,
+    _covers,
+    _syct_uncovers,
+    _syt_uncovers,
+    dhat_rows,
+)
 
 from oracles import (
     INVOLUTIONS,
@@ -27,6 +36,7 @@ from oracles import (
     dhat_by_enumeration,
     hook_length_count,
     invert,
+    syct_rows_by_backtracking,
 )
 
 # the running example: shape (2,4,1,2), descent composition (1,2,1,2,3)
@@ -190,6 +200,68 @@ def test_chain_count_at_degrees_beyond_the_enumeration(n):
         by_shape[lam] = by_shape.get(lam, 0) + sum(vals)
     assert by_shape == {lam: hook_length_count(lam) for lam in partitions_of(n)}
     invert_unitriangular(dhat_rows(n))
+
+
+def _without_last_cell(shape, row):
+    """``shape`` less the last cell of row ``row`` (from 1), an emptied row dropped."""
+    return tuple(part for i, k in enumerate(shape) if (part := k - (i == row - 1)))
+
+
+def test_syct_uncovers_undo_the_covers_with_the_same_column():
+    for n in range(1, 10):
+        covers = {
+            (bigger, shape, col)
+            for shape in compositions_of(n - 1)
+            for bigger, col in _covers(shape)
+        }
+        uncovers = set()
+        for bigger in compositions_of(n):
+            for shape, (row, col) in _syct_uncovers(bigger):
+                assert bigger[row - 1] == col
+                assert shape == _without_last_cell(bigger, row)
+                uncovers.add((bigger, shape, col))
+        assert uncovers == covers
+
+
+def test_syt_uncovers_remove_the_corners():
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            corners = []
+            for i, k in enumerate(lam):
+                rest = lam[:i] + (k - 1,) + lam[i + 1 :]
+                if all(a >= b for a, b in zip(rest, rest[1:])):
+                    corners.append((_without_last_cell(lam, i + 1), (i + 1, k)))
+            assert list(_syt_uncovers(lam)) == corners
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_syt_chain_counts_are_hook_lengths(n):
+    for lam in partitions_of(n):
+        assert _count_chains(lam, _syt_uncovers) == hook_length_count(lam)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_syct_chain_counts_over_the_rearrangements_of_a_partition_are_hook_lengths(n):
+    by_shape = {}
+    for alpha in compositions_of(n):
+        lam = underlying_partition(alpha)
+        by_shape[lam] = by_shape.get(lam, 0) + _count_syct(alpha)
+    assert by_shape == {lam: hook_length_count(lam) for lam in partitions_of(n)}
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_enumerate_syct_equals_the_backtracker(n):
+    for alpha in compositions_of(n):
+        assert [t.rows for t in enumerate_syct(alpha)] == syct_rows_by_backtracking(alpha)
+
+
+def test_chains_of_shapes_longer_than_the_recursion_limit():
+    # one row or one column of 2000 cells holds exactly one tableau of each kind
+    entries = tuple(range(1, 2001))
+    for shape, rows in (((2000,), (entries,)), ((1,) * 2000, tuple((x,) for x in entries))):
+        for uncovers in (_syct_uncovers, _syt_uncovers):
+            assert _count_chains(shape, uncovers) == 1
+            assert _chains(shape, uncovers) == [rows]
 
 
 def test_kostka_counts():
