@@ -5,15 +5,15 @@ its exit code and the SHA-256 of its stdout.  Every command runs in-process
 through ``ncsf.cli.main``.  The set covers ``matrix`` for every basis pair
 of every space at n <= 5 (JSON and CSV), in JSON at the larger degrees of
 ``_LARGE`` and for every pair of distinct bases at the degrees of
-``_DISTINCT_LARGE``, ``expand`` for every basis pair and index at n <= 5,
-``char --young``/``--irreducible`` at n <= 5 and for every partition of
-6 and 7, every ``verify`` suite at n <= 4 and at the degrees of
-``_VERIFY_LARGE`` (text and ``--json``), the conversions of ``_CONVERT`` at
-the ``convert`` degree 8 in JSON, ``tableaux syct`` for every composition
-of n <= 5 and ``tableaux syt`` for every partition of n <= 7 (``--count``
-and ``--list``), ``tableaux syct --list`` for every composition of 6, and
-a few refusals.  One more test checks
-QSym's M -> F matrix at n = 10 entry by entry against the Moebius sign sum.
+``_DISTINCT_LARGE``, ``expand`` for every basis pair and index up to the
+degree of ``_EXPAND_TOP``, ``char --young``/``--irreducible`` at n <= 5 and
+for every partition of 6 and 7, every ``verify`` suite at n <= 4 and at the
+degrees of ``_VERIFY_LARGE`` (text and ``--json``), the QSym conversions of
+``_CONVERT`` at the ``convert`` degree 8 in JSON, ``tableaux syct`` for
+every composition of n <= 5 and ``tableaux syt`` for every partition of
+n <= 7 (``--count`` and ``--list``), ``tableaux syct --list`` for every
+composition of 6, and a few refusals.  One more test checks QSym's M -> F
+matrix at n = 10 entry by entry against the Moebius sign sum.
 
 To record the digests again (only when an output is meant to change):
 
@@ -45,12 +45,11 @@ _SUITES = ("main-theorem", "duality", "solomon", "square", "all")
 # degrees above 5 at which every ``matrix`` basis pair is pinned, in JSON
 _LARGE = {"sym": (6, 7), "qsym": (6,), "nsym": (6,)}
 # further degrees at which every pair of distinct bases is pinned, in JSON
-_DISTINCT_LARGE = {"sym": (), "qsym": (7,), "nsym": (7,)}
+_DISTINCT_LARGE = {"sym": (), "qsym": (7,), "nsym": (7, 8)}
 # the tableau-count conversions pinned in JSON at degree 8
-_CONVERT = {
-    "qsym": (("YQS", "F"), ("QS", "F"), ("F", "YQS")),
-    "nsym": (("S", "H"), ("H", "S"), ("S", "YS")),
-}
+_CONVERT = {"qsym": (("YQS", "F"), ("QS", "F"), ("F", "YQS"))}
+# the largest degree at which ``expand`` is pinned for every basis pair and index
+_EXPAND_TOP = {"sym": 5, "qsym": 5, "nsym": 6}
 # degrees above 4 at which each ``verify`` suite is pinned, text and JSON
 _VERIFY_LARGE = {
     "main-theorem": (5, 6),
@@ -95,7 +94,7 @@ def _commands() -> dict:
             ["expand", "--space", space, "--from", a, "--to", b, "--index", _label(index)]
             for a in bases
             for b in bases
-            for n in range(6)
+            for n in range(_EXPAND_TOP[space] + 1)
             for index in indices(n)
         ]
     groups["tableaux"] = [
