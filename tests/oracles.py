@@ -15,7 +15,9 @@ coordinates, the Moebius inversion of those coordinates to
 contained-descent-set coordinates for theta, and dense Fraction-generic
 linear algebra (Gauss-Jordan inversion, products, transposes and the
 application of a matrix to sparse terms) for the library's sparse integer
-matrices.
+matrices.  NSym's transition matrices are checked against the builders it
+used when ``H`` was its hub: sums over refinements and coarsenings, and
+triangular solves and products with the ribbon expansions of S and YS.
 """
 
 from collections import Counter
@@ -35,9 +37,12 @@ from ncsf import (
     young_character,
     z_stat,
 )
-from ncsf.compositions import composition_index
+from ncsf import linalg
+from ncsf._linear import dense_rows, matrix_of
+from ncsf.compositions import coarsenings, composition_index, refinements
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import from_rows
+from ncsf.qsym import QSYM
 from ncsf.tableaux import CompositionDiagram
 
 # number of involutions in S_n for n = 1..7
@@ -435,3 +440,56 @@ def apply_matrix(terms: dict, matrix, order) -> dict:
             if entry:
                 out[j] += c * entry
     return {order[j]: v for j, v in enumerate(out) if v}
+
+
+_SCHUR_DUAL = {"S": "QS", "YS": "YQS"}
+
+
+def ribbon_in_schur_matrix(basis: str, n: int):
+    """Row gamma holds the ``basis`` (S or YS) coordinates of the ribbon
+    element of gamma: the transposed F expansion of the dual QSym basis."""
+    return linalg.transpose(QSYM.to_hub(_SCHUR_DUAL[basis], n))
+
+
+@cache
+def nsym_to_h_matrix(basis: str, n: int):
+    """The stored matrix of H coordinates of the degree-n ``basis`` elements
+    (E, R, S or YS): alternating sums over refinements for E, signed sums
+    over coarsenings for R, and for S and YS the triangular solve of their
+    ribbon expansions against R -> H."""
+    comps, index = compositions_of(n), composition_index(n)
+    if basis == "E":
+        # the same matrix serves H -> E
+        rows = (
+            {gamma: -1 if (len(gamma) - n) % 2 else 1 for gamma in refinements(alpha)}
+            for alpha in comps
+        )
+        return matrix_of(rows, index)
+    if basis == "R":
+        rows = (
+            {beta: -1 if (len(alpha) - len(beta)) % 2 else 1 for beta in coarsenings(alpha)}
+            for alpha in comps
+        )
+        return matrix_of(rows, index)
+    return linalg.solve_triangular(ribbon_in_schur_matrix(basis, n), nsym_to_h_matrix("R", n))
+
+
+@cache
+def nsym_from_h_matrix(basis: str, n: int):
+    """The ``basis`` coordinates of the degree-n H elements: H_alpha is the
+    unsigned sum of ribbon elements over the coarsenings of alpha."""
+    if basis == "E":
+        return nsym_to_h_matrix("E", n)
+    if basis == "R":
+        rows = (dict.fromkeys(coarsenings(alpha), 1) for alpha in compositions_of(n))
+        return matrix_of(rows, composition_index(n))
+    return linalg.matmul(nsym_from_h_matrix("R", n), ribbon_in_schur_matrix(basis, n))
+
+
+def nsym_matrix_through_h(source: str, target: str, n: int) -> tuple:
+    """The dense degree-n NSym transition matrix from ``source`` to
+    ``target``, the product of the two H-hub builders."""
+    k = len(compositions_of(n))
+    to_h = identity(k) if source == "H" else dense_rows(nsym_to_h_matrix(source, n))
+    from_h = identity(k) if target == "H" else dense_rows(nsym_from_h_matrix(target, n))
+    return matmul(to_h, from_h)

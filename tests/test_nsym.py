@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -25,7 +26,10 @@ from ncsf.nsym import transition_matrix
 from ncsf.qsym import transition_matrix as qsym_transition_matrix
 from ncsf.tableaux import dhat_matrix
 
-from oracles import is_identity, matmul, transpose
+from oracles import is_identity, matmul, nsym_matrix_through_h, transpose
+
+# the QSym basis dual to each NSym basis under <F_alpha, R_beta> = delta
+_QSYM_DUAL = {"H": "M", "R": "F", "S": "QS", "YS": "YQS"}
 
 
 def test_h2_in_elementary_basis():
@@ -210,6 +214,20 @@ def test_ribbon_to_young_schur_matrix_is_dual_to_fundamental_expansion():
         r_in_ys = transition_matrix("R", "YS", n)
         yqs_in_f = qsym_transition_matrix("YQS", "F", n)
         assert r_in_ys == transpose(yqs_in_f)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_nsym_matrices_are_transposed_qsym_matrices(n):
+    for b1, b2 in product(_QSYM_DUAL, repeat=2):
+        want = transpose(qsym_transition_matrix(_QSYM_DUAL[b2], _QSYM_DUAL[b1], n))
+        assert transition_matrix(b1, b2, n) == want, (b1, b2)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_transition_matrices_equal_the_h_route_of_the_old_builders(n):
+    for source, target in product(NSYM_BASES, repeat=2):
+        want = nsym_matrix_through_h(source, target, n)
+        assert transition_matrix(source, target, n) == want, (source, target)
 
 
 def test_rejects_bad_inputs():
