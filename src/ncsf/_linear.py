@@ -1,7 +1,7 @@
 """The graded-space core shared by Sym, QSym and NSym.
 
 Each of the three spaces is a ``Space`` record: its basis names, a hub
-basis (``h``, ``F`` and ``H``), a checker and a canonical order for the
+basis (``h``, ``F`` and ``R``), a checker and a canonical order for the
 indices of each degree, and two per-degree matrix builders.  ``to_hub(b, n)``
 has one row per degree-n element of basis ``b``, holding its hub
 coordinates; ``from_hub(b, n)`` holds the ``b`` coordinates of each hub

@@ -3,16 +3,18 @@
 Composition-indexed bases: noncommutative elementary ``E``, complete
 homogeneous ``H``, ribbon ``R``, noncommutative Schur ``S``, and Young
 noncommutative Schur ``YS``.  The space is the ``NSYM`` record of the
-graded-space core (``_linear``), with hub basis ``H``; the per-degree
-matrices built here are cached:
+graded-space core (``_linear``), with hub basis ``R``, the dual of QSym's
+hub ``F`` under the pairing <F_alpha, R_beta> = delta_{alpha beta}; the
+per-degree matrices built here are cached:
 
-* E <-> H by the alternating sums over compositions of each part, with
-  indices concatenated in order (the algebra is free, so products of the
-  generators never collide);
-* R -> H by the signed sum over coarsenings, H -> R by the unsigned one;
-* R expands in YS and in S by the transposes of the F expansions of the
-  dual QSym bases YQS and QS (SYCT counts); S -> H and YS -> H solve those
-  unitriangular integer expansions against R -> H by substitution.
+* H, S and YS are dual to QSym's M, QS and YQS.  For such a basis b with
+  dual b*, the R_beta coordinate of b_alpha is <F_beta, b_alpha>, the
+  b*_alpha coordinate of F_beta: b -> R is QSym's F -> b* transposed, and
+  R -> b is b* -> F transposed.
+* E_alpha is the sum of R_beta over the beta refining alpha^c, the
+  composition of n whose cut set is the complement of alpha's; R -> E is
+  its Moebius inverse, R_beta the sum of (-1)^(len(beta^c) - len(gamma))
+  E_gamma over the coarsenings gamma of beta^c.
 
 The dual pairing with quasisymmetric functions and the forgetful map onto
 Sym live here as well.
@@ -33,7 +35,7 @@ from .compositions import (
     reversal,
     underlying_partition,
 )
-from .linalg import Matrix, matmul, solve_triangular, transpose
+from .linalg import Matrix, transpose
 from .qsym import QSYM, QSymElement, qsym_convert
 from .sym import SymElement
 
@@ -52,53 +54,35 @@ __all__ = [
 
 NSYM_BASES = ("E", "H", "R", "S", "YS")
 
+# the QSym basis dual to each NSym basis but E and the hub
+_QSYM_DUAL = {"H": "M", "S": "QS", "YS": "YQS"}
 
-_QSYM_DUAL = {"S": "QS", "YS": "YQS"}
-
-
-@cache
-def _r_in_schur_matrix(basis: str, n: int) -> Matrix:
-    """Row gamma holds the ``basis`` (S or YS) coordinates of the ribbon
-    element of gamma: the transpose of the F expansion of the dual QSym
-    basis (QS or YQS), since R is dual to F."""
-    return transpose(_transition_matrix(QSYM, _QSYM_DUAL[basis], "F", n))
+# In canonical order a composition's position is the mask of its cut set, so
+# reversed(compositions_of(n)) lists alpha^c for each alpha in order.
 
 
 @cache
-def _to_h_matrix(basis: str, n: int) -> Matrix:
-    comps = compositions_of(n)
-    index = composition_index(n)
+def _to_r_matrix(basis: str, n: int) -> Matrix:
     if basis == "E":
-        # alternating sums over refinements; the same matrix serves H -> E
-        rows = (
-            {gamma: -1 if (len(gamma) - n) % 2 else 1 for gamma in refinements(alpha)}
-            for alpha in comps
-        )
-        return matrix_of(rows, index)
-    if basis == "R":
-        rows = (
-            {beta: -1 if (len(alpha) - len(beta)) % 2 else 1 for beta in coarsenings(alpha)}
-            for alpha in comps
-        )
-        return matrix_of(rows, index)
-    # S, YS
-    return solve_triangular(_r_in_schur_matrix(basis, n), _to_h_matrix("R", n))
-
-
-@cache
-def _from_h_matrix(basis: str, n: int) -> Matrix:
-    if basis == "E":
-        return _to_h_matrix("E", n)
-    if basis == "R":
-        # H_alpha is the unsigned sum of ribbon elements over coarsenings
-        rows = (dict.fromkeys(coarsenings(alpha), 1) for alpha in compositions_of(n))
+        rows = (dict.fromkeys(refinements(c), 1) for c in reversed(compositions_of(n)))
         return matrix_of(rows, composition_index(n))
-    return matmul(_from_h_matrix("R", n), _r_in_schur_matrix(basis, n))  # S, YS
+    return transpose(QSYM.from_hub(_QSYM_DUAL[basis], n))
+
+
+@cache
+def _from_r_matrix(basis: str, n: int) -> Matrix:
+    if basis == "E":
+        rows = (
+            {gamma: -1 if (len(c) - len(gamma)) % 2 else 1 for gamma in coarsenings(c)}
+            for c in reversed(compositions_of(n))
+        )
+        return matrix_of(rows, composition_index(n))
+    return transpose(QSYM.to_hub(_QSYM_DUAL[basis], n))
 
 
 NSYM = Space(
-    "NSym", NSYM_BASES, "H", check_composition, compositions_of, composition_index,
-    _to_h_matrix, _from_h_matrix,
+    "NSym", NSYM_BASES, "R", check_composition, compositions_of, composition_index,
+    _to_r_matrix, _from_r_matrix,
 )
 
 

@@ -42,7 +42,9 @@ def duality_matrix(qsym_basis: str, nsym_basis: str, n: int):
     """The degree-n pairing matrix of two bases: entry (alpha, beta) is the
     pairing of the QSym element of alpha with the NSym element of beta.
     F and R are dual, so it is the product of the F expansion of one basis
-    with the transposed R expansion of the other."""
+    with the transposed R expansion of the other.  NSym's R expansions are
+    QSym's from-F matrices transposed, so each check is that a QSym basis's
+    to-F and from-F builders are inverses."""
     return matmul(
         transition_matrix(QSYM, qsym_basis, "F", n),
         transpose(transition_matrix(NSYM, nsym_basis, "R", n)),

@@ -2,12 +2,15 @@
 paths they replace.
 
 At every degree n <= 7: the substitution inverse against Fraction
-Gauss-Jordan on each matrix it inverts, the triangular solves of Sym's
-``m`` basis against Gauss-Jordan and dense products, the closed-form
-M -> F matrix against the inverse of F -> M, sparse products, transposes
-and solves against their dense oracles, the pruned Jacobi-Trudi expansion
-against the full permutation sum, and the p -> m block counts against a
-count of every assignment and, up to n = 10, against a memo per entry.
+Gauss-Jordan on each matrix it inverts, NSym's to-R and from-R builders
+against each other's Gauss-Jordan inverse and S -> H and YS -> H against
+the inverse ribbon expansions times the old R -> H sums, the triangular
+solves of Sym's ``m`` basis against Gauss-Jordan and dense products, the
+closed-form M -> F matrix against the inverse of F -> M, sparse products,
+transposes and solves against their dense oracles, the pruned
+Jacobi-Trudi expansion against the full permutation sum, and the p -> m
+block counts against a count of every assignment and, up to n = 10,
+against a memo per entry.
 Every cached builder stores sparse rows of nonzero ints over the least
 denominator.  Then the guards of the triangular solve.
 """
@@ -17,7 +20,7 @@ from math import gcd
 import pytest
 
 from ncsf import nsym, qsym, sym
-from ncsf._linear import dense_rows
+from ncsf._linear import dense_rows, transition_matrix
 from ncsf.compositions import partitions_of
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import Matrix, invert_unitriangular, matmul, solve_triangular, transpose
@@ -43,8 +46,8 @@ def _unitriangular(n):
     return {
         "dhat": dhat_rows(n),
         "QS -> F": qsym._to_f_matrix("QS", n),
-        "R in S": nsym._r_in_schur_matrix("S", n),
-        "R in YS": nsym._r_in_schur_matrix("YS", n),
+        "R in S": nsym._from_r_matrix("S", n),
+        "R in YS": nsym._from_r_matrix("YS", n),
         "s -> h": sym._to_h_matrix("s", n),
     }
 
@@ -86,12 +89,15 @@ def test_builders_use_the_exact_inverses(n):
         want = invert(dense_rows(qsym._to_f_matrix(basis, n)))
         assert dense_rows(qsym._from_f_matrix(basis, n)) == want
     assert dense_rows(sym._from_h_matrix("s", n)) == invert(dense_rows(sym._to_h_matrix("s", n)))
+    for basis in ("E", "H", "S", "YS"):
+        want = invert(dense_rows(nsym._from_r_matrix(basis, n)))
+        assert dense_rows(nsym._to_r_matrix(basis, n)) == want, basis
     for basis in ("S", "YS"):
         expected = oracles.matmul(
-            invert(dense_rows(nsym._r_in_schur_matrix(basis, n))),
-            dense_rows(nsym._to_h_matrix("R", n)),
+            invert(dense_rows(nsym._from_r_matrix(basis, n))),
+            dense_rows(oracles.nsym_to_h_matrix("R", n)),
         )
-        assert dense_rows(nsym._to_h_matrix(basis, n)) == expected
+        assert dense_rows(transition_matrix(NSYM, basis, "H", n)) == expected
 
 
 @pytest.mark.parametrize("n", DEGREES)
