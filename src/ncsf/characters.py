@@ -27,18 +27,8 @@ from .compositions import (
     underlying_partition,
     z_stat,
 )
-from .descent import (
-    GroupAlgebraElement,
-    descent_span_coordinates,
-    psi,
-    psi_inverse,
-    xi,
-)
-from .errors import (
-    DegreeMismatchError,
-    InternalConsistencyError,
-    NotInDescentSpanError,
-)
+from .descent import GroupAlgebraElement, psi, psi_inverse, xi
+from .errors import DegreeMismatchError, InternalConsistencyError
 from .nsym import NSymElement, forgetful_map
 from .sym import SymElement, schur, sym_convert, sym_multiply
 
@@ -166,15 +156,10 @@ def _ribbon_character(beta: Composition) -> tuple:
 
 def theta(d: GroupAlgebraElement) -> ClassFunction:
     """Evaluate a descent-span element as a class function: the sum over its
-    equal-descent-set coordinates c_beta of c_beta times the ribbon
-    character of beta (``_ribbon_character``)."""
-    coords = descent_span_coordinates(d)
-    if coords is None:
-        raise NotInDescentSpanError(
-            f"element of degree {d.n} is not constant on descent classes"
-        )
+    equal-descent-set coordinates c_beta, the R coordinates of ``psi(d)``,
+    of c_beta times the ribbon character of beta (``_ribbon_character``)."""
     values = [0] * len(partitions_of(d.n))
-    for beta, c in coords.items():
+    for beta, c in psi(d).terms.items():
         values = [v + c * r for v, r in zip(values, _ribbon_character(beta))]
     return ClassFunction(d.n, dict(zip(partitions_of(d.n), values)))
 

@@ -234,13 +234,14 @@ def descent_span_coordinates(a: GroupAlgebraElement):
 
 def psi(d: GroupAlgebraElement) -> NSymElement:
     """The descent-span element ``d`` as an NSym element: the class sum of
-    alpha maps to the ribbon element of alpha."""
+    alpha maps to the ribbon element of alpha.  The coordinates are those of
+    a checked element, so they are taken as they are."""
     coords = descent_span_coordinates(d)
     if coords is None:
         raise NotInDescentSpanError(
             f"element of degree {d.n} is not constant on descent classes"
         )
-    return NSymElement("R", coords)
+    return NSymElement._of("R", coords)
 
 
 def psi_inverse(f: NSymElement) -> GroupAlgebraElement:

@@ -300,12 +300,6 @@ def _chains(shape, uncovers) -> list:
 
 
 @cache
-def _count_syct(shape: Composition) -> int:
-    """The SYCTs of ``shape``, counted as chains."""
-    return _count_chains(shape, _syct_uncovers)
-
-
-@cache
 def dhat_rows(n: int) -> Matrix:
     """``dhat_matrix(n)`` as a stored sparse matrix, by counting chains.
 
@@ -340,34 +334,29 @@ def kostka_counts(lam: Partition, mu: Partition) -> int:
     """Number of semistandard fillings of ``lam`` with content ``mu``.
 
     Rows weakly increase left to right and columns strictly increase bottom
-    to top; entry k is used exactly mu[k-1] times.
+    to top; entry k is used exactly mu[k-1] times.  Counted level by level:
+    a state is the shape filled with the entries up to k, and entry k+1
+    adds a horizontal strip of mu[k] cells inside ``lam``, row i growing to
+    at most min(lam[i], row i-1 before the strip), listed row by row.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise DegreeMismatchError(f"degrees differ: {lam} vs {mu}")
-    if not lam:
-        return 1
-    values = len(mu)
-    remaining = list(mu)
-    grid = [[0] * length for length in lam]
-    cells = [(i, j) for i, length in enumerate(lam) for j in range(length)]
-
-    def fill(pos):
-        if pos == len(cells):
-            return 1
-        i, j = cells[pos]
-        lo = grid[i][j - 1] if j > 0 else 1
-        strict_lo = grid[i - 1][j] + 1 if i > 0 else 1
-        total = 0
-        for v in range(max(lo, strict_lo), values + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            grid[i][j] = v
-            total += fill(pos + 1)
-            grid[i][j] = 0
-            remaining[v - 1] += 1
-        return total
-
-    return fill(0)
+    level = {(0,) * len(lam): 1}
+    for m in mu:
+        step = {}
+        for shape, count in level.items():
+            strips = [((), m)]  # (rows so far, cells left to add)
+            for i, (old, top) in enumerate(zip(shape, lam)):
+                cap = min(top, shape[i - 1]) if i else top
+                strips = [
+                    (rows + (old + g,), left - g)
+                    for rows, left in strips
+                    for g in range(min(cap - old, left) + 1)
+                ]
+            for rows, left in strips:
+                if not left:
+                    step[rows] = step.get(rows, 0) + count
+        level = step
+    return level.get(lam, 0)

@@ -493,3 +493,33 @@ def nsym_matrix_through_h(source: str, target: str, n: int) -> tuple:
     to_h = identity(k) if source == "H" else dense_rows(nsym_to_h_matrix(source, n))
     from_h = identity(k) if target == "H" else dense_rows(nsym_from_h_matrix(target, n))
     return matmul(to_h, from_h)
+
+
+def kostka_by_backtracking(lam, mu) -> int:
+    """The semistandard fillings of ``lam`` with content ``mu``, counted by
+    placing values cell by cell, rows bottom to top, each cell at least its
+    left neighbour and above the cell below it."""
+    if not lam:
+        return 1
+    remaining = list(mu)
+    grid = [[0] * length for length in lam]
+    cells = [(i, j) for i, length in enumerate(lam) for j in range(length)]
+
+    def fill(pos):
+        if pos == len(cells):
+            return 1
+        i, j = cells[pos]
+        lo = grid[i][j - 1] if j > 0 else 1
+        strict_lo = grid[i - 1][j] + 1 if i > 0 else 1
+        total = 0
+        for v in range(max(lo, strict_lo), len(mu) + 1):
+            if remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
+            grid[i][j] = v
+            total += fill(pos + 1)
+            grid[i][j] = 0
+            remaining[v - 1] += 1
+        return total
+
+    return fill(0)

@@ -23,7 +23,6 @@ from ncsf.tableaux import (
     CompositionDiagram,
     _chains,
     _count_chains,
-    _count_syct,
     _covers,
     _syct_uncovers,
     _syt_uncovers,
@@ -36,6 +35,7 @@ from oracles import (
     dhat_by_enumeration,
     hook_length_count,
     invert,
+    kostka_by_backtracking,
     syct_rows_by_backtracking,
 )
 
@@ -187,7 +187,7 @@ def test_chain_count_equals_syct_enumeration(n):
 def test_syct_count_per_shape_equals_the_enumeration_and_the_dhat_row_sum(n):
     row_sums = [sum(vals) for _, vals in dhat_rows(n).rows] if n else [1]
     for alpha, row_sum in zip(compositions_of(n), row_sums):
-        assert _count_syct(alpha) == len(enumerate_syct(alpha)) == row_sum
+        assert _count_chains(alpha, _syct_uncovers) == len(enumerate_syct(alpha)) == row_sum
 
 
 @pytest.mark.parametrize("n", (10, 11))
@@ -245,7 +245,7 @@ def test_syct_chain_counts_over_the_rearrangements_of_a_partition_are_hook_lengt
     by_shape = {}
     for alpha in compositions_of(n):
         lam = underlying_partition(alpha)
-        by_shape[lam] = by_shape.get(lam, 0) + _count_syct(alpha)
+        by_shape[lam] = by_shape.get(lam, 0) + _count_chains(alpha, _syct_uncovers)
     assert by_shape == {lam: hook_length_count(lam) for lam in partitions_of(n)}
 
 
@@ -267,12 +267,25 @@ def test_chains_of_shapes_longer_than_the_recursion_limit():
 def test_kostka_counts():
     assert kostka_counts((2, 1), (2, 1)) == 1
     assert kostka_counts((2, 1), (1, 1, 1)) == 2
+    assert kostka_counts((5, 4, 3, 2, 1), (1,) * 15) == hook_length_count((5, 4, 3, 2, 1)) == 292864
     for n in range(1, 7):
         for mu in partitions_of(n):
             assert kostka_counts((n,), mu) == 1
     for n in range(1, 7):
         for lam in partitions_of(n):
             assert kostka_counts(lam, lam) == 1
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_kostka_counts_by_horizontal_strips_equal_the_backtracker(n):
+    for lam in partitions_of(n):
+        for mu in partitions_of(n):
+            assert kostka_counts(lam, mu) == kostka_by_backtracking(lam, mu), (lam, mu)
+
+
+def test_kostka_counts_of_shapes_longer_than_the_recursion_limit():
+    assert kostka_counts((1000,), (1000,)) == 1
+    assert kostka_counts((1000, 1000), (1000, 1000)) == 1
 
 
 def test_kostka_counts_degree_mismatch():
