@@ -12,9 +12,12 @@ per-degree matrices built here are cached:
   b*_alpha coordinate of F_beta: b -> R is QSym's F -> b* transposed, and
   R -> b is b* -> F transposed.
 * E_alpha is the sum of R_beta over the beta refining alpha^c, the
-  composition of n whose cut set is the complement of alpha's; R -> E is
-  its Moebius inverse, R_beta the sum of (-1)^(len(beta^c) - len(gamma))
-  E_gamma over the coarsenings gamma of beta^c.
+  composition of n whose cut set is the complement of alpha's; in canonical
+  order alpha^c sits at alpha's position counted from the end.  So E -> R
+  is F -> M with row alpha moved to alpha^c, and R -> E, its Moebius
+  inverse, is M -> F with column gamma moved to gamma^c: R_beta is the sum
+  of (-1)^(len(beta^c) - len(gamma)) E_gamma over the coarsenings gamma of
+  beta^c.
 
 The dual pairing with quasisymmetric functions and the forgetful map onto
 Sym live here as well.
@@ -24,18 +27,16 @@ from fractions import Fraction
 from functools import cache
 from operator import add
 
-from ._linear import Element, Space, convert, dense_rows, matrix_of, product_terms
+from ._linear import Element, Space, convert, dense_rows, product_terms
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     check_composition,
-    coarsenings,
     composition_index,
     compositions_of,
-    refinements,
     reversal,
     underlying_partition,
 )
-from .linalg import Matrix, transpose
+from .linalg import Matrix, from_rows, transpose
 from .qsym import QSYM, QSymElement, qsym_convert
 from .sym import SymElement
 
@@ -57,26 +58,19 @@ NSYM_BASES = ("E", "H", "R", "S", "YS")
 # the QSym basis dual to each NSym basis but E and the hub
 _QSYM_DUAL = {"H": "M", "S": "QS", "YS": "YQS"}
 
-# In canonical order a composition's position is the mask of its cut set, so
-# reversed(compositions_of(n)) lists alpha^c for each alpha in order.
-
 
 @cache
 def _to_r_matrix(basis: str, n: int) -> Matrix:
-    if basis == "E":
-        rows = (dict.fromkeys(refinements(c), 1) for c in reversed(compositions_of(n)))
-        return matrix_of(rows, composition_index(n))
+    if basis == "E":  # row alpha is row alpha^c of F -> M
+        return Matrix(QSYM.from_hub("M", n).rows[::-1])
     return transpose(QSYM.from_hub(_QSYM_DUAL[basis], n))
 
 
 @cache
 def _from_r_matrix(basis: str, n: int) -> Matrix:
-    if basis == "E":
-        rows = (
-            {gamma: -1 if (len(c) - len(gamma)) % 2 else 1 for gamma in coarsenings(c)}
-            for c in reversed(compositions_of(n))
-        )
-        return matrix_of(rows, composition_index(n))
+    if basis == "E":  # M -> F with column gamma moved to gamma^c
+        last = len(compositions_of(n)) - 1
+        return from_rows({last - j: x for j, x in zip(*row)} for row in QSYM.to_hub("M", n).rows)
     return transpose(QSYM.to_hub(_QSYM_DUAL[basis], n))
 
 
