@@ -6,8 +6,7 @@ the z-weighted power-sum expansion; its inverse reads the values back off
 the power-sum coordinates and insists they are integers, which catches
 pipeline corruption early.  ``theta`` evaluates descent-algebra elements
 as class functions through the ribbon characters, Moebius sums of Young
-characters cached per composition, and
-``verify_main_theorem`` checks, for one degree, that the preimages of the
+characters, and ``verify_main_theorem`` checks, for one degree, that the preimages of the
 (Young) noncommutative Schur elements are noncommutative irreducible
 characters, together with the commuting square relating the four maps.
 """
@@ -20,7 +19,7 @@ from .compositions import (
     Composition,
     check_composition,
     check_partition,
-    coarsenings,
+    composition_index,
     compositions_of,
     format_composition,
     partitions_of,
@@ -74,6 +73,15 @@ class ClassFunction:
             )
         object.__setattr__(self, "values", {mu: out[mu] for mu in expected})
 
+    @classmethod
+    def _of(cls, n: int, values: dict):
+        """The class function of ``values``, a ``Fraction`` for each
+        partition of n in canonical order, built from checked ones, as is."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "values", values)
+        return f
+
     def __call__(self, mu) -> Fraction:
         mu = check_partition(mu)
         if sum(mu) != self.n:
@@ -110,17 +118,22 @@ def ch_inverse(g: SymElement) -> ClassFunction:
             raise InternalConsistencyError(
                 f"non-integral character value {value} at cycle type {mu}"
             )
-        values[mu] = value
-    return ClassFunction(n, values)
+        values[mu] = Fraction(value)
+    return ClassFunction._of(n, values)
 
 
-@cache
 def young_character(alpha) -> ClassFunction:
     """The character induced by the trivial character of the Young subgroup
     of ``alpha``; depends only on the underlying partition."""
-    alpha = check_composition(alpha)
-    lam = underlying_partition(alpha)
+    return _young_character(underlying_partition(alpha))
+
+
+@cache
+def _young_character(lam) -> ClassFunction:
     return ch_inverse(SymElement("h", {lam: 1}))
+
+
+young_character.cache_info = _young_character.cache_info
 
 
 @cache
@@ -136,22 +149,36 @@ def class_products(f: ClassFunction, g: ClassFunction, mode: str) -> ClassFuncti
     if mode == "pointwise":
         if f.n != g.n:
             raise DegreeMismatchError(f"degrees differ: {f.n} vs {g.n}")
-        return ClassFunction(f.n, {mu: f.values[mu] * g.values[mu] for mu in f.values})
+        return ClassFunction._of(f.n, {mu: f.values[mu] * g.values[mu] for mu in f.values})
     if mode == "induction":
         return ch_inverse(sym_multiply(frobenius_ch(f), frobenius_ch(g)))
     raise ValueError(f"mode must be 'pointwise' or 'induction': {mode!r}")
 
 
 @cache
+def _ribbon_characters(n: int) -> tuple:
+    """theta of the equal-descent-set class sum of each composition of n,
+    in canonical order, the ribbon characters, each as its integer values
+    over the partitions of n in order: the Moebius sums of the Young
+    characters over coarsenings.  A composition's canonical position is its
+    cut mask, so this is one subset Moebius transform of the table of Young
+    characters, a bit at a time."""
+    table = [
+        [value.numerator for value in young_character(alpha).values.values()]
+        for alpha in compositions_of(n)
+    ]
+    for bit in range(n - 1):
+        bit = 1 << bit
+        for mask, row in enumerate(table):
+            if mask & bit:
+                row[:] = [v - w for v, w in zip(row, table[mask ^ bit])]
+    return tuple(map(tuple, table))
+
+
 def _ribbon_character(beta: Composition) -> tuple:
-    """theta of the equal-descent-set class sum of ``beta``, the ribbon
-    character, as its integer values over the partitions of n in order: the
-    Moebius sum of the Young characters over the coarsenings of ``beta``."""
-    values = [0] * len(partitions_of(sum(beta)))
-    for alpha in coarsenings(beta):
-        for i, value in enumerate(young_character(alpha).values.values()):
-            values[i] += (-1) ** (len(beta) - len(alpha)) * value.numerator
-    return tuple(values)
+    """The ribbon character of ``beta`` as in ``_ribbon_characters``."""
+    n = sum(beta)
+    return _ribbon_characters(n)[composition_index(n)[beta]]
 
 
 def theta(d: GroupAlgebraElement) -> ClassFunction:
@@ -161,7 +188,7 @@ def theta(d: GroupAlgebraElement) -> ClassFunction:
     values = [0] * len(partitions_of(d.n))
     for beta, c in psi(d).terms.items():
         values = [v + c * r for v, r in zip(values, _ribbon_character(beta))]
-    return ClassFunction(d.n, dict(zip(partitions_of(d.n), values)))
+    return ClassFunction._of(d.n, dict(zip(partitions_of(d.n), map(Fraction, values))))
 
 
 def noncommutative_character(alpha, family: str) -> GroupAlgebraElement:

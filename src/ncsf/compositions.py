@@ -196,16 +196,18 @@ def refinements(alpha: Composition) -> tuple[Composition, ...]:
 
 @cache
 def coarsenings(alpha: Composition) -> tuple[Composition, ...]:
-    """All compositions that ``alpha`` refines (alpha ⪯ beta)."""
+    """All compositions that ``alpha`` refines (alpha ⪯ beta): those whose
+    cut masks, their canonical positions, are submasks of the cut mask of
+    ``alpha``, listed in increasing order."""
     alpha = check_composition(alpha)
-    if not alpha:
-        return ((),)
     n = sum(alpha)
-    cuts = tuple(accumulate(alpha))[:-1]
-    out = []
-    for mask in range(1 << len(cuts)):
-        subset = [cuts[i] for i in range(len(cuts)) if mask >> i & 1]
-        out.append(comp_of(subset, n))
+    comps = compositions_of(n)
+    mask = composition_index(n)[alpha]
+    out = [comps[0]]
+    sub = 0
+    while sub != mask:
+        sub = (sub - mask) & mask  # the next submask of mask
+        out.append(comps[sub])
     return tuple(out)
 
 

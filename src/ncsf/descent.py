@@ -11,6 +11,13 @@ Inputs are checked at the public constructors; the elements built here
 from checked ones (``xi``, ``delta``, ``convolve``, ``psi_inverse``, sums
 and multiples) are not checked again.
 
+``xi``, ``delta`` and ``psi_inverse`` build their elements from class-sum
+coordinates, and those elements carry the coordinates, which ``psi`` reads
+instead of scanning S_n.  Every other element (one built by the public
+constructors, a sum, a multiple or a ``convolve`` product) carries none,
+so ``psi`` finds its coordinates by ``descent_span_coordinates``, which
+also checks that it lies in the descent algebra.
+
 Building a group algebra of degree above the configured bound (default 8,
 override with the NCSF_MAX_N environment variable) raises
 ResourceLimitError: degree 9 already means 362880 basis permutations.
@@ -18,13 +25,20 @@ ResourceLimitError: degree 9 already means 362880 basis permutations.
 
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, permutations
 from operator import itemgetter
 
 from ._linear import LinearCombinationOps, canonical, normalize_terms
-from .compositions import Composition, Partition, check_composition, comp_of
+from .compositions import (
+    Composition,
+    Partition,
+    check_composition,
+    coarsenings,
+    comp_of,
+    compositions_of,
+)
 from .errors import DegreeMismatchError, NotInDescentSpanError, ResourceLimitError
 from .nsym import NSymElement, nsym_convert
 
@@ -149,6 +163,8 @@ class GroupAlgebraElement(LinearCombinationOps):
 
     n: int
     terms: dict
+    # the class-sum coordinates, set only by ``_of_classes``
+    _coords: dict = field(default=None, init=False, repr=False, compare=False)
 
     _TAG = "n"
 
@@ -174,25 +190,32 @@ def _cut_points(alpha: Composition) -> tuple[int, ...]:
     return tuple(accumulate(alpha))[:-1] if alpha else ()
 
 
+def _of_classes(n: int, coords: dict) -> GroupAlgebraElement:
+    """The element of degree ``n`` whose coordinate over the class sum of
+    each composition is given by ``coords`` (canonical, built from checked
+    ones); it carries ``coords`` for ``psi``."""
+    classes = descent_classes(n)
+    # distinct compositions have disjoint descent classes
+    terms = {sigma: c for alpha, c in coords.items() for sigma in classes[_cut_points(alpha)]}
+    x = GroupAlgebraElement._of(n, terms)
+    object.__setattr__(x, "_coords", coords)
+    return x
+
+
 def xi(alpha) -> GroupAlgebraElement:
     """Sum of all permutations whose descent set is contained in the cut
-    set of ``alpha``; equivalently the sum over the minimal-length left
-    coset representatives of the Young subgroup of ``alpha``."""
+    set of ``alpha``, the class sums of its coarsenings; equivalently the
+    sum over the minimal-length left coset representatives of the Young
+    subgroup of ``alpha``."""
     alpha = check_composition(alpha)
-    n = sum(alpha)
-    target = set(_cut_points(alpha))
-    classes = descent_classes(n).items()
-    sigmas = (s for descents, sigmas in classes if set(descents) <= target for s in sigmas)
-    return GroupAlgebraElement._of(n, dict.fromkeys(sigmas, 1))
+    return _of_classes(sum(alpha), dict.fromkeys(coarsenings(alpha), 1))
 
 
 def delta(alpha) -> GroupAlgebraElement:
     """Sum of all permutations whose descent set equals the cut set of
     ``alpha``."""
     alpha = check_composition(alpha)
-    n = sum(alpha)
-    sigmas = descent_classes(n).get(_cut_points(alpha), ())
-    return GroupAlgebraElement._of(n, dict.fromkeys(sigmas, 1))
+    return _of_classes(sum(alpha), {alpha: 1})
 
 
 def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -218,24 +241,28 @@ def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElem
 
 def descent_span_coordinates(a: GroupAlgebraElement):
     """Coordinates of ``a`` over the equal-descent-set class sums, or None
-    if some descent class does not carry a constant coefficient."""
+    if some descent class does not carry a constant coefficient; found by
+    scanning every permutation of S_n."""
     coords = {}
-    for descents, sigmas in descent_classes(a.n).items():
+    classes = descent_classes(a.n)
+    for alpha in compositions_of(a.n):
         # a permutation without a term reads None; zeros are never stored
-        values = set(map(a.terms.get, sigmas))
+        values = set(map(a.terms.get, classes[_cut_points(alpha)]))
         if len(values) > 1:
             return None
         value = values.pop()
         if value:
-            key = comp_of(descents, a.n) if a.n else ()
-            coords[key] = value
+            coords[alpha] = value
     return coords
 
 
 def psi(d: GroupAlgebraElement) -> NSymElement:
     """The descent-span element ``d`` as an NSym element: the class sum of
-    alpha maps to the ribbon element of alpha.  The coordinates are those of
+    alpha maps to the ribbon element of alpha.  The coordinates are those
+    ``d`` carries, or else those the scan finds; either way they come from
     a checked element, so they are taken as they are."""
+    if d._coords is not None:
+        return NSymElement._of("R", dict(d._coords))
     coords = descent_span_coordinates(d)
     if coords is None:
         raise NotInDescentSpanError(
@@ -254,9 +281,4 @@ def psi_inverse(f: NSymElement) -> GroupAlgebraElement:
         raise DegreeMismatchError(
             f"psi_inverse requires a homogeneous element; found degrees {sorted(degrees)}"
         )
-    n = degrees.pop()
-    _check_degree(n)
-    classes = descent_classes(n)
-    # distinct compositions have disjoint descent classes
-    out = {sigma: c for alpha, c in r.terms.items() for sigma in classes[_cut_points(alpha)]}
-    return GroupAlgebraElement._of(n, out)
+    return _of_classes(degrees.pop(), dict(r.terms))

@@ -12,7 +12,9 @@ them) for monomial coefficients of power sums, cut-set inclusion for the
 Moebius function of the refinement order, Fraction arithmetic over
 one-line tuples for the group-ring product and the descent-class
 coordinates, the Moebius inversion of those coordinates to
-contained-descent-set coordinates for theta, and dense Fraction-generic
+contained-descent-set coordinates for theta, the signed sum of Young
+characters over the coarsenings of a composition for each ribbon
+character, coarsenings listed through ``comp_of`` subset by subset, and dense Fraction-generic
 linear algebra (Gauss-Jordan inversion, products, transposes and the
 application of a matrix to sparse terms) for the library's sparse integer
 matrices.  NSym's transition matrices are checked against the builders it
@@ -29,6 +31,7 @@ from math import factorial
 from ncsf import (
     SYCT,
     ClassFunction,
+    comp_of,
     compositions_of,
     descent_composition_syct,
     is_valid_syct,
@@ -39,7 +42,7 @@ from ncsf import (
 )
 from ncsf import linalg
 from ncsf._linear import dense_rows, matrix_of
-from ncsf.compositions import coarsenings, composition_index, refinements
+from ncsf.compositions import composition_index, refinements
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import from_rows
 from ncsf.qsym import QSYM
@@ -314,6 +317,32 @@ def moebius_refinement(alpha, beta) -> int:
     return -1 if (len(beta) - len(alpha)) % 2 else 1
 
 
+def coarsenings_by_comp_of(alpha) -> tuple:
+    """The compositions that ``alpha`` refines: the subsets of its cut set
+    in binary-counter order over the cuts, each read through ``comp_of``."""
+    if not alpha:
+        return ((),)
+    n = sum(alpha)
+    cuts = tuple(accumulate(alpha))[:-1]
+    out = []
+    for mask in range(1 << len(cuts)):
+        subset = [cuts[i] for i in range(len(cuts)) if mask >> i & 1]
+        out.append(comp_of(subset, n))
+    return tuple(out)
+
+
+def ribbon_character_by_coarsenings(beta) -> tuple:
+    """theta of the equal-descent-set class sum of ``beta`` as its integer
+    values over the partitions of n in order: the sum over the coarsenings
+    alpha of ``beta`` of (-1)^(len(beta) - len(alpha)) times the Young
+    character of alpha."""
+    values = [0] * len(partitions_of(sum(beta)))
+    for alpha in coarsenings_by_comp_of(beta):
+        for i, value in enumerate(young_character(alpha).values.values()):
+            values[i] += (-1) ** (len(beta) - len(alpha)) * value.numerator
+    return tuple(values)
+
+
 def convolve_by_fractions(a, b) -> dict:
     """The terms of the group-ring product of ``a`` and ``b``, in Fraction
     arithmetic: (sigma . tau)(i) = sigma(tau(i)) on one-line tuples."""
@@ -467,7 +496,7 @@ def nsym_to_h_matrix(basis: str, n: int):
         return matrix_of(rows, index)
     if basis == "R":
         rows = (
-            {beta: -1 if (len(alpha) - len(beta)) % 2 else 1 for beta in coarsenings(alpha)}
+            {beta: -1 if (len(alpha) - len(beta)) % 2 else 1 for beta in coarsenings_by_comp_of(alpha)}
             for alpha in comps
         )
         return matrix_of(rows, index)
@@ -481,7 +510,7 @@ def nsym_from_h_matrix(basis: str, n: int):
     if basis == "E":
         return nsym_to_h_matrix("E", n)
     if basis == "R":
-        rows = (dict.fromkeys(coarsenings(alpha), 1) for alpha in compositions_of(n))
+        rows = (dict.fromkeys(coarsenings_by_comp_of(alpha), 1) for alpha in compositions_of(n))
         return matrix_of(rows, composition_index(n))
     return linalg.matmul(nsym_from_h_matrix("R", n), ribbon_in_schur_matrix(basis, n))
 

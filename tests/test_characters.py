@@ -33,7 +33,11 @@ from ncsf.errors import (
 from ncsf.characters import _ribbon_character
 from ncsf.descent import group_algebra_element
 
-from oracles import murnaghan_nakayama, young_character_by_cosets
+from oracles import (
+    murnaghan_nakayama,
+    ribbon_character_by_coarsenings,
+    young_character_by_cosets,
+)
 
 
 def test_ch_of_irreducible_is_schur():
@@ -165,6 +169,32 @@ def test_ribbon_character_at_the_identity_class_counts_the_descent_class():
         identity_class = partitions_of(n).index((1,) * n)
         for beta in compositions_of(n):
             assert _ribbon_character(beta)[identity_class] == len(delta(beta).terms)
+
+
+def test_ribbon_characters_match_the_signed_coarsening_sum():
+    for n in range(10):
+        for beta in compositions_of(n):
+            assert _ribbon_character(beta) == ribbon_character_by_coarsenings(beta), beta
+
+
+def test_young_character_is_cached_per_partition():
+    young_character((1, 3, 2))
+    hits = young_character.cache_info().hits
+    assert young_character((2, 1, 3)) is young_character((3, 2, 1))
+    assert young_character.cache_info().hits == hits + 2
+
+
+def test_library_built_class_functions_hold_fractions():
+    built = (
+        theta(xi((2, 1))),
+        ch_inverse(sym_basis_element("h", (2, 1))),
+        class_products(young_character((2, 1)), young_character((1, 2)), "pointwise"),
+        class_products(young_character((1,)), young_character((2,)), "induction"),
+    )
+    for f in built:
+        assert list(f.values) == list(partitions_of(f.n))
+        assert all(type(value) is Fraction for value in f.values.values())
+        assert class_function(f.n, f.values) == f
 
 
 def test_theta_requires_descent_span():

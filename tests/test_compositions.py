@@ -16,6 +16,8 @@ from ncsf import (
 from ncsf.compositions import coarsenings, refinements
 from ncsf.errors import InvalidSubsetError
 
+from oracles import coarsenings_by_comp_of
+
 
 def test_compositions_of_zero():
     assert compositions_of(0) == ((),)
@@ -120,6 +122,12 @@ def test_refinements_and_coarsenings_agree_with_refines():
         for alpha in comps:
             assert set(refinements(alpha)) == {b for b in comps if refines(b, alpha)}
             assert set(coarsenings(alpha)) == {b for b in comps if refines(alpha, b)}
+
+
+def test_coarsenings_match_the_comp_of_listing_in_order():
+    for n in range(11):
+        for alpha in compositions_of(n):
+            assert coarsenings(alpha) == coarsenings_by_comp_of(alpha), alpha
 
 
 def test_z_stat():

@@ -21,6 +21,7 @@ from ncsf import (
     set_of,
     xi,
 )
+from ncsf import descent
 from ncsf.descent import descent_classes
 from ncsf.errors import (
     DegreeMismatchError,
@@ -164,6 +165,50 @@ def test_psi_inverse_is_right_inverse():
             for basis in ("H", "R", "S", "YS", "E"):
                 x = nsym_basis_element(basis, alpha)
                 assert psi(psi_inverse(x)) == nsym_convert(x, "R"), (basis, alpha)
+
+
+def test_class_built_elements_carry_the_coordinates_the_scan_finds():
+    for n in range(7):
+        for alpha in compositions_of(n):
+            built = {"xi": xi(alpha), "delta": delta(alpha)}
+            for basis in ("E", "H", "R", "S", "YS"):
+                built[basis] = psi_inverse(nsym_basis_element(basis, alpha))
+            for name, d in built.items():
+                assert d._coords is not None, (name, alpha)
+                assert descent_span_coordinates(d) == d._coords, (name, alpha)
+
+
+def test_psi_of_class_built_elements_does_not_scan(monkeypatch):
+    def no_scan(a):
+        raise AssertionError("scanned S_n")
+
+    monkeypatch.setattr(descent, "descent_span_coordinates", no_scan)
+    for alpha in compositions_of(4):
+        assert nsym_convert(psi(xi(alpha)), "H").terms == {alpha: 1}
+        assert psi(delta(alpha)).terms == {alpha: 1}
+        x = nsym_basis_element("S", alpha)
+        assert psi(psi_inverse(x)) == nsym_convert(x, "R")
+
+
+def test_other_elements_carry_no_coordinates():
+    x, y = xi((1, 2)), delta((2, 1))
+    others = (
+        group_algebra_element(3, x.terms),
+        x + y,
+        x - y,
+        2 * x,
+        -x,
+        convolve(x, y),
+    )
+    for z in others:
+        assert z._coords is None
+    assert group_algebra_element(3, x.terms) == x
+    assert "_coords" not in repr(x)
+    # psi finds their coordinates by the scan
+    assert psi(x + y) == psi(x) + psi(y)
+    assert psi(convolve(x, y)).terms == descent_span_coordinates(convolve(x, y))
+    with pytest.raises(NotInDescentSpanError):
+        psi(x + group_algebra_element(3, {(2, 1, 3): 1}))
 
 
 def test_psi_inverse_requires_homogeneous():
