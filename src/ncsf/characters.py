@@ -6,9 +6,10 @@ the z-weighted power-sum expansion; its inverse reads the values back off
 the power-sum coordinates and insists they are integers, which catches
 pipeline corruption early.  ``theta`` evaluates descent-algebra elements
 as class functions through the ribbon characters, Moebius sums of Young
-characters, and ``verify_main_theorem`` checks, for one degree, that the preimages of the
-(Young) noncommutative Schur elements are noncommutative irreducible
-characters, together with the commuting square relating the four maps.
+characters, and ``verify_main_theorem`` checks, for one degree, that the
+preimages of the (Young) noncommutative Schur elements are noncommutative
+irreducible characters, together with the commuting square relating the
+four maps.
 """
 
 from dataclasses import dataclass

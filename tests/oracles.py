@@ -14,12 +14,13 @@ one-line tuples for the group-ring product and the descent-class
 coordinates, the Moebius inversion of those coordinates to
 contained-descent-set coordinates for theta, the signed sum of Young
 characters over the coarsenings of a composition for each ribbon
-character, coarsenings listed through ``comp_of`` subset by subset, and dense Fraction-generic
-linear algebra (Gauss-Jordan inversion, products, transposes and the
-application of a matrix to sparse terms) for the library's sparse integer
-matrices.  NSym's transition matrices are checked against the builders it
-used when ``H`` was its hub: sums over refinements and coarsenings, and
-triangular solves and products with the ribbon expansions of S and YS.
+character, coarsenings listed through ``comp_of`` subset by subset, and
+dense Fraction-generic linear algebra (Gauss-Jordan inversion, products,
+transposes and the application of a matrix to sparse terms) for the
+library's sparse integer matrices.  NSym's transition matrices are
+checked against the builders it used when ``H`` was its hub: sums over
+refinements and coarsenings, and triangular solves and products with the
+ribbon expansions of S and YS.
 """
 
 from collections import Counter
@@ -496,7 +497,10 @@ def nsym_to_h_matrix(basis: str, n: int):
         return matrix_of(rows, index)
     if basis == "R":
         rows = (
-            {beta: -1 if (len(alpha) - len(beta)) % 2 else 1 for beta in coarsenings_by_comp_of(alpha)}
+            {
+                beta: -1 if (len(alpha) - len(beta)) % 2 else 1
+                for beta in coarsenings_by_comp_of(alpha)
+            }
             for alpha in comps
         )
         return matrix_of(rows, index)
