@@ -26,7 +26,7 @@ from math import lcm
 from typing import Callable, ClassVar
 
 from .errors import BasisMismatchError
-from .linalg import Matrix, from_rows, identity, matmul
+from .linalg import Matrix, _ratio, from_rows, identity, matmul
 
 _SCALARS = (int, Fraction)
 
@@ -64,10 +64,6 @@ def product_terms(x: dict, y: dict, combine) -> dict:
 def matrix_of(rows, index: dict) -> Matrix:
     """The stored matrix of rows {index: coefficient}; ``index`` gives columns."""
     return from_rows({index[idx]: c for idx, c in row.items()} for row in rows)
-
-
-def _ratio(v: int, den: int):
-    return v // den if v % den == 0 else Fraction(v, den)
 
 
 def dense_rows(m: Matrix) -> tuple:

@@ -137,11 +137,15 @@ def _young_character(lam) -> ClassFunction:
 young_character.cache_info = _young_character.cache_info
 
 
-@cache
 def irreducible_character(lam) -> ClassFunction:
     """The irreducible character of shape ``lam``, read off the Schur
     function through the inverse characteristic map."""
-    return ch_inverse(schur(check_partition(lam)))
+    return _irreducible_character(check_partition(lam))
+
+
+@cache
+def _irreducible_character(lam) -> ClassFunction:
+    return ch_inverse(schur(lam))
 
 
 def class_products(f: ClassFunction, g: ClassFunction, mode: str) -> ClassFunction:

@@ -9,6 +9,10 @@ fixed here are the canonical row/column orders used everywhere:
   (bit i-1 of the counter holds element i), mapped through ``comp_of``, so
   the list starts at (n) and ends at (1, ..., 1);
 * partitions of n: reverse lexicographic, from (n) down to (1, ..., 1).
+
+A composition of n is its cut set, its proper partial sums, so refinement
+is cut-set inclusion: beta refines alpha when both have the same sum and
+the cut set of beta contains that of alpha.
 """
 
 from dataclasses import dataclass
@@ -166,22 +170,11 @@ def reversal(alpha: Composition) -> Composition:
 
 
 def refines(beta: Composition, alpha: Composition) -> bool:
-    """True iff consecutive blocks of ``beta`` sum to the parts of ``alpha`` in order."""
+    """True iff ``beta`` refines ``alpha``: equal sums, and every partial
+    sum of ``alpha`` is one of ``beta``."""
     beta = check_composition(beta)
     alpha = check_composition(alpha)
-    if sum(beta) != sum(alpha):
-        return False
-    pos = 0
-    for target in alpha:
-        block = 0
-        while block < target:
-            if pos >= len(beta):
-                return False
-            block += beta[pos]
-            pos += 1
-        if block != target:
-            return False
-    return pos == len(beta)
+    return sum(beta) == sum(alpha) and set(accumulate(alpha)) <= set(accumulate(beta))
 
 
 @cache

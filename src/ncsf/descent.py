@@ -47,7 +47,6 @@ __all__ = [
     "max_group_degree",
     "Permutation",
     "check_permutation",
-    "identity_permutation",
     "compose",
     "cycle_type",
     "descent_set_perm",
@@ -97,10 +96,6 @@ def check_permutation(seq) -> Permutation:
     if sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise ValueError(f"not a permutation of [{len(sigma)}] in one-line notation: {sigma}")
     return sigma
-
-
-def identity_permutation(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
 
 
 def compose(sigma: Permutation, tau: Permutation) -> Permutation:

@@ -37,6 +37,11 @@ def from_rows(rows, scale=1) -> Matrix:
     return Matrix(tuple(pairs), den)
 
 
+def _ratio(v: int, den: int):
+    """v / den as an ``int`` when ``den`` divides ``v``, else a ``Fraction``."""
+    return v // den if v % den == 0 else Fraction(v, den)
+
+
 def identity(k: int) -> Matrix:
     return Matrix(tuple(((i,), (1,)) for i in range(k)))
 
@@ -83,7 +88,7 @@ def solve_triangular(a: Matrix, b: Matrix) -> Matrix:
                 row[col] = row.get(col, 0) - c * y
         d = diagonal[i]
         if d != 1:
-            row = {col: v // d if v % d == 0 else Fraction(v, d) for col, v in row.items()}
+            row = {col: _ratio(v, d) for col, v in row.items()}
         x[i] = row
     return from_rows(x, Fraction(a.den, b.den))
 

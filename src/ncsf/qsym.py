@@ -20,7 +20,6 @@ and its partial inverse ``symmetric_part``.
 """
 
 from functools import cache
-from itertools import permutations as _permutations
 
 from ._linear import Element, Space, convert, dense_rows, matrix_of
 from ._linear import transition_matrix as _transition_matrix
@@ -55,13 +54,20 @@ __all__ = [
 QSYM_BASES = ("M", "F", "QS", "YQS")
 
 
-@cache
 def compositions_with_underlying(lam: Partition) -> tuple[Composition, ...]:
     """All compositions whose parts sort to ``lam``, in canonical order."""
     lam = check_partition(lam)
-    seen = sorted(set(_permutations(lam)))
-    index = composition_index(sum(lam))
-    return tuple(sorted(seen, key=index.__getitem__))
+    return _rearrangements(sum(lam))[lam]
+
+
+@cache
+def _rearrangements(n: int) -> dict:
+    """The compositions of n grouped by underlying partition, each group in
+    canonical order."""
+    groups = {}
+    for alpha in compositions_of(n):
+        groups.setdefault(underlying_partition(alpha), []).append(alpha)
+    return {lam: tuple(group) for lam, group in groups.items()}
 
 
 @cache
@@ -127,7 +133,7 @@ def symmetric_part(x: QSymElement):
     m = qsym_convert(x, "M")
     out = {underlying_partition(alpha): c for alpha, c in m.terms.items()}
     for lam, c in out.items():
-        for beta in compositions_with_underlying(lam):
+        for beta in _rearrangements(sum(lam))[lam]:
             if m.terms.get(beta, 0) != c:
                 return None
     return SymElement("m", out)
@@ -139,7 +145,7 @@ def embed_sym_in_qsym(x: SymElement) -> QSymElement:
     xm = sym_convert(x, "m")
     out = {}
     for lam, c in xm.terms.items():
-        for alpha in compositions_with_underlying(lam):
+        for alpha in _rearrangements(sum(lam))[lam]:
             out[alpha] = out.get(alpha, 0) + c
     return QSymElement("M", out)
 

@@ -23,7 +23,10 @@ SYTs of shape lam are likewise the saturated chains from () to lam in
 Young's lattice, a cover adding a corner.  Both kinds are listed
 (``_chains``) and counted (``_count_chains``) from their cover rule undone,
 without recursion, so no shape is too long for Python's recursion limit.
-i is a descent of an SYCT when i+1 is in the column of i or further left.
+An SYCT is validated on the chain too (``is_valid_syct``): the three
+conditions above are the definition, checked against the chain test in the
+tests.  i is a descent of an SYCT when i+1 is in the column of i or further
+left.
 """
 
 from collections import Counter
@@ -76,16 +79,10 @@ class CompositionDiagram:
         )
 
 
-def _rows_to_filling(shape, rows):
-    return {
-        (i + 1, j + 1): value
-        for i, row in enumerate(rows)
-        for j, value in enumerate(row)
-    }
-
-
 def is_valid_syct(shape: Composition, filling) -> bool:
-    """Check the three SYCT conditions for a filling of the diagram of ``shape``.
+    """Check that a filling of the diagram of ``shape`` is an SYCT: a
+    saturated chain, so for m = n, ..., 1 the cell holding m is one that a
+    cover undone (``_syct_uncovers``) removes from the shape left so far.
 
     ``filling`` maps cells (row, col), rows from the bottom, to entries.
     Raises MalformedFillingError unless it is a bijection from the cells of
@@ -93,34 +90,17 @@ def is_valid_syct(shape: Composition, filling) -> bool:
     """
     shape = check_composition(shape)
     n = sum(shape)
-    cells = CompositionDiagram(shape).cells if shape else ()
-    if set(filling) != set(cells):
+    if set(filling) != set(CompositionDiagram(shape).cells):
         raise MalformedFillingError("filling does not cover exactly the cells of the shape")
     if sorted(filling.values()) != list(range(1, n + 1)):
         raise MalformedFillingError(f"filling values are not a bijection onto [{n}]")
-
-    ell = len(shape)
-    entry = dict(filling)
-    # (1) rows increase left to right
-    for i in range(1, ell + 1):
-        for j in range(1, shape[i - 1]):
-            if entry[(i, j)] >= entry[(i, j + 1)]:
-                return False
-    # (2) the first column increases bottom to top
-    for i in range(1, ell):
-        if entry[(i, 1)] >= entry[(i + 1, 1)]:
+    for last in sorted(filling, key=filling.get, reverse=True):
+        for smaller, cell in _syct_uncovers(shape):
+            if cell == last:
+                shape = smaller
+                break
+        else:
             return False
-    # (3) the triple condition
-    for j in range(2, ell + 1):
-        for i in range(1, j):
-            for k in range(1, shape[j - 1] + 1):
-                if (i, k + 1) not in entry:
-                    continue
-                if entry[(j, k)] < entry[(i, k + 1)]:
-                    if (j, k + 1) not in entry:
-                        return False
-                    if entry[(j, k + 1)] >= entry[(i, k + 1)]:
-                        return False
     return True
 
 
@@ -138,7 +118,8 @@ class SYCT:
         object.__setattr__(self, "rows", rows)
         if tuple(len(row) for row in rows) != shape:
             raise MalformedFillingError(f"rows {rows} do not fill shape {shape}")
-        if not is_valid_syct(shape, _rows_to_filling(shape, rows)):
+        filling = {(i + 1, j + 1): x for i, row in enumerate(rows) for j, x in enumerate(row)}
+        if not is_valid_syct(shape, filling):
             raise ValueError(f"not a valid SYCT of shape {shape}: {rows}")
 
     @property
@@ -186,11 +167,17 @@ class SYT:
         return tuple(x for row in self.rows for x in row)
 
 
-@cache
-def enumerate_syct(alpha: Composition) -> tuple[SYCT, ...]:
+def enumerate_syct(alpha) -> tuple[SYCT, ...]:
     """All SYCTs of shape ``alpha``, ordered lexicographically by reading word."""
-    alpha = check_composition(alpha)
+    return _enumerate_syct(check_composition(alpha))
+
+
+@cache
+def _enumerate_syct(alpha: Composition) -> tuple[SYCT, ...]:
     return tuple(SYCT(alpha, rows) for rows in _chains(alpha, _syct_uncovers))
+
+
+enumerate_syct.cache_info = _enumerate_syct.cache_info
 
 
 def descent_composition_syct(tableau: SYCT) -> Composition:
@@ -234,10 +221,13 @@ def rho_bar(tableau: SYCT) -> SYT:
     return SYT(lam, rows)
 
 
-@cache
-def enumerate_syt(lam: Partition) -> tuple[SYT, ...]:
+def enumerate_syt(lam) -> tuple[SYT, ...]:
     """All SYTs of shape ``lam``, ordered lexicographically by reading word."""
-    lam = check_partition(lam)
+    return _enumerate_syt(check_partition(lam))
+
+
+@cache
+def _enumerate_syt(lam: Partition) -> tuple[SYT, ...]:
     return tuple(SYT(lam, rows) for rows in _chains(lam, _syt_uncovers))
 
 

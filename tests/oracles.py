@@ -3,16 +3,18 @@
 Everything here recomputes expected values by a route different from the
 library code under test: hook lengths for tableau counts, border-strip
 recursion for character values, explicit coset counting for induced
-characters, brute-force filtering for tableau enumeration, a backtracker
-that places n, n-1, ..., 1 under the three SYCT conditions cell by cell
-(the reference for the library's chain listing of SYCTs and for the
-``dhat`` matrix), the full permutation sum for Jacobi-Trudi determinants,
-every assignment of parts to blocks (or a per-entry memoized count of
-them) for monomial coefficients of power sums, cut-set inclusion for the
-Moebius function of the refinement order, Fraction arithmetic over
-one-line tuples for the group-ring product and the descent-class
-coordinates, the Moebius inversion of those coordinates to
-contained-descent-set coordinates for theta, the signed sum of Young
+characters, the three SYCT conditions of the definition checked cell by
+cell (the reference for the library's chain test of SYCT validity, and the
+filter of a brute-force tableau enumeration), a backtracker that places n,
+n-1, ..., 1 under the same conditions (the reference for the library's
+chain listing of SYCTs and for the ``dhat`` matrix), a block walk for
+refinement (the reference for cut-set inclusion), the full permutation sum
+for Jacobi-Trudi determinants, every assignment of parts to blocks (or a
+per-entry memoized count of them) for monomial coefficients of power sums,
+cut-set inclusion for the Moebius function of the refinement order,
+Fraction arithmetic over one-line tuples for the group-ring product and
+the descent-class coordinates, the Moebius inversion of those coordinates
+to contained-descent-set coordinates for theta, the signed sum of Young
 characters over the coarsenings of a composition for each ribbon
 character, coarsenings listed through ``comp_of`` subset by subset, and
 dense Fraction-generic linear algebra (Gauss-Jordan inversion, products,
@@ -35,7 +37,6 @@ from ncsf import (
     comp_of,
     compositions_of,
     descent_composition_syct,
-    is_valid_syct,
     partitions_of,
     sym_convert,
     young_character,
@@ -166,8 +167,37 @@ def p_inner_product(x, y) -> Fraction:
     return total
 
 
+def syct_conditions_hold(shape, filling) -> bool:
+    """The three SYCT conditions of the definition, checked cell by cell on
+    a bijective filling {(row, col): entry} of the diagram of ``shape``."""
+    ell = len(shape)
+    entry = dict(filling)
+    # (1) rows increase left to right
+    for i in range(1, ell + 1):
+        for j in range(1, shape[i - 1]):
+            if entry[(i, j)] >= entry[(i, j + 1)]:
+                return False
+    # (2) the first column increases bottom to top
+    for i in range(1, ell):
+        if entry[(i, 1)] >= entry[(i + 1, 1)]:
+            return False
+    # (3) the triple condition
+    for j in range(2, ell + 1):
+        for i in range(1, j):
+            for k in range(1, shape[j - 1] + 1):
+                if (i, k + 1) not in entry:
+                    continue
+                if entry[(j, k)] < entry[(i, k + 1)]:
+                    if (j, k + 1) not in entry:
+                        return False
+                    if entry[(j, k + 1)] >= entry[(i, k + 1)]:
+                        return False
+    return True
+
+
 def brute_force_syct_rows(alpha) -> set:
-    """All valid SYCT fillings of ``alpha`` by filtering every permutation."""
+    """All valid SYCT fillings of ``alpha`` by filtering every permutation
+    through the three conditions."""
     n = sum(alpha)
     if n == 0:
         return {()}
@@ -175,7 +205,7 @@ def brute_force_syct_rows(alpha) -> set:
     out = set()
     for perm in permutations(range(1, n + 1)):
         filling = dict(zip(cells, perm))
-        if is_valid_syct(alpha, filling):
+        if syct_conditions_hold(alpha, filling):
             out.add(
                 tuple(
                     tuple(filling[(i + 1, j + 1)] for j in range(alpha[i]))
@@ -307,6 +337,22 @@ def ordered_block_count(mu, lam) -> int:
         )
 
     return rec(0, tuple(lam))
+
+
+def refines_by_blocks(beta, alpha) -> bool:
+    """True iff consecutive blocks of ``beta`` sum to the parts of ``alpha``
+    in order, walking both from the left."""
+    pos = 0
+    for target in alpha:
+        block = 0
+        while block < target:
+            if pos >= len(beta):
+                return False
+            block += beta[pos]
+            pos += 1
+        if block != target:
+            return False
+    return pos == len(beta)
 
 
 def moebius_refinement(alpha, beta) -> int:

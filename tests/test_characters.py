@@ -184,6 +184,12 @@ def test_young_character_is_cached_per_partition():
     assert young_character.cache_info().hits == hits + 2
 
 
+def test_list_arguments_are_accepted_like_tuples():
+    assert irreducible_character([2, 1]) is irreducible_character((2, 1))
+    assert young_character([2, 1]) is young_character((2, 1))
+    assert xi([2, 1]) == xi((2, 1))
+
+
 def test_library_built_class_functions_hold_fractions():
     built = (
         theta(xi((2, 1))),

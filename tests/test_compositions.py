@@ -16,7 +16,7 @@ from ncsf import (
 from ncsf.compositions import coarsenings, refinements
 from ncsf.errors import InvalidSubsetError
 
-from oracles import coarsenings_by_comp_of
+from oracles import coarsenings_by_comp_of, refines_by_blocks
 
 
 def test_compositions_of_zero():
@@ -116,12 +116,19 @@ def test_refines_is_a_partial_order():
                         assert refines(a, c)
 
 
+def test_refines_matches_the_block_walk():
+    comps = [alpha for n in range(7) for alpha in compositions_of(n)]
+    for beta in comps:
+        for alpha in comps:
+            assert refines(beta, alpha) == refines_by_blocks(beta, alpha), (beta, alpha)
+
+
 def test_refinements_and_coarsenings_agree_with_refines():
     for n in range(0, 7):
         comps = compositions_of(n)
         for alpha in comps:
-            assert set(refinements(alpha)) == {b for b in comps if refines(b, alpha)}
-            assert set(coarsenings(alpha)) == {b for b in comps if refines(alpha, b)}
+            assert set(refinements(alpha)) == {b for b in comps if refines_by_blocks(b, alpha)}
+            assert set(coarsenings(alpha)) == {b for b in comps if refines_by_blocks(alpha, b)}
 
 
 def test_coarsenings_match_the_comp_of_listing_in_order():

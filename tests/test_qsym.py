@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from ncsf import (
@@ -15,6 +17,7 @@ from ncsf import (
     sym_basis_element,
     symmetric_part,
 )
+from ncsf.compositions import composition_index
 from ncsf.qsym import compositions_with_underlying, transition_matrix
 
 from oracles import hook_length_count, is_identity, matmul
@@ -161,3 +164,9 @@ def test_rejects_bad_inputs():
 def test_underlying_orbit_listing():
     assert compositions_with_underlying((2, 1)) == ((1, 2), (2, 1))
     assert compositions_with_underlying(()) == ((),)
+    for n in range(9):
+        index = composition_index(n)
+        for lam in partitions_of(n):
+            want = tuple(sorted(set(permutations(lam)), key=index.__getitem__))
+            assert compositions_with_underlying(lam) == want, lam
+    assert compositions_with_underlying((1,) * 14) == ((1,) * 14,)

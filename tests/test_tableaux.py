@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -36,6 +37,7 @@ from oracles import (
     hook_length_count,
     invert,
     kostka_by_backtracking,
+    syct_conditions_hold,
     syct_rows_by_backtracking,
 )
 
@@ -73,6 +75,20 @@ def test_is_valid_syct_malformed_raises():
         is_valid_syct((2, 1), {(1, 1): 1, (1, 2): 2})
     with pytest.raises(MalformedFillingError):
         is_valid_syct((2, 1), {(1, 1): 1, (1, 2): 1, (2, 1): 3})
+
+
+def test_is_valid_syct_matches_the_three_conditions_on_every_filling():
+    for n in range(7):
+        for alpha in compositions_of(n):
+            cells = CompositionDiagram(alpha).cells
+            for perm in permutations(range(1, n + 1)):
+                filling = dict(zip(cells, perm))
+                assert is_valid_syct(alpha, filling) == syct_conditions_hold(alpha, filling)
+
+
+def test_enumerators_accept_lists():
+    assert enumerate_syct([2, 1]) is enumerate_syct((2, 1))
+    assert enumerate_syt([2, 1]) is enumerate_syt((2, 1))
 
 
 def test_enumerate_syct_examples():
