@@ -26,7 +26,7 @@ from math import lcm
 from typing import Callable, ClassVar
 
 from .errors import BasisMismatchError
-from .linalg import Matrix, _ratio, from_rows, identity, matmul
+from .linalg import Matrix, from_rows, identity, matmul
 
 _SCALARS = (int, Fraction)
 
@@ -59,6 +59,11 @@ def product_terms(x: dict, y: dict, combine) -> dict:
             idx = combine(i1, i2)
             out[idx] = out.get(idx, 0) + c1 * c2
     return canonical(out)
+
+
+def _ratio(v: int, den: int):
+    """v / den as an ``int`` when ``den`` divides ``v``, else a ``Fraction``."""
+    return v // den if v % den == 0 else Fraction(v, den)
 
 
 def matrix_of(rows, index: dict) -> Matrix:

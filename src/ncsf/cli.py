@@ -6,7 +6,8 @@ list tableaux of one shape), ``char`` (Young or irreducible character
 values), and ``verify`` (the named exact-identity suites).
 
 Exit codes: 0 success / all checks passed, 1 some verification check
-failed, 2 usage, parse, or resource errors.  Indices are comma-separated
+failed, 2 usage, parse, or resource errors, 3 a broken internal invariant
+(``InternalConsistencyError``, a bug).  Indices are comma-separated
 positive integers with the empty composition spelled ``0``.  All numeric
 output is exact-rational text.
 """
@@ -18,7 +19,7 @@ from . import serialize
 from ._linear import convert_terms, dense_rows, transition_matrix
 from .compositions import partitions_of
 from .descent import max_group_degree
-from .errors import NcsfError
+from .errors import InternalConsistencyError, NcsfError
 from .linalg import transpose
 from .characters import irreducible_character, young_character
 from .nsym import NSYM
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (NcsfError, ValueError) as exc:
         print(f"ncsf: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InternalConsistencyError) else 2
 
 
 def run() -> None:

@@ -4,8 +4,8 @@ A ``Matrix`` is stored only as sparse rows over one denominator ``den``:
 row i is a pair of tuples ``(cols, vals)``, the increasing positions of its
 nonzero entries and those entries as ints, each meaning ``val / den``.
 ``den`` is the least one, so it is 1 for an integer matrix.  Products sum
-in ``int``; the triangular solve divides only by a diagonal entry other
-than 1.  Matrices are square.
+in ``int``, and the one inverse, of a unitriangular matrix, is a back
+substitution that never divides by a diagonal entry.  Matrices are square.
 """
 
 from fractions import Fraction
@@ -15,10 +15,7 @@ from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 
-__all__ = [
-    "Matrix", "from_rows", "identity", "invert_unitriangular", "matmul", "solve_triangular",
-    "transpose",
-]
+__all__ = ["Matrix", "from_rows", "identity", "invert_unitriangular", "matmul", "transpose"]
 
 
 class Matrix(NamedTuple):
@@ -35,11 +32,6 @@ def from_rows(rows, scale=1) -> Matrix:
     den = lcm(*{x.denominator for row in rows for _, x in row})
     pairs = ((tuple(j for j, _ in row), tuple(int(x * den) for _, x in row)) for row in rows)
     return Matrix(tuple(pairs), den)
-
-
-def _ratio(v: int, den: int):
-    """v / den as an ``int`` when ``den`` divides ``v``, else a ``Fraction``."""
-    return v // den if v % den == 0 else Fraction(v, den)
 
 
 def identity(k: int) -> Matrix:
@@ -65,38 +57,27 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return from_rows(rows, Fraction(1, a.den * b.den))
 
 
-def solve_triangular(a: Matrix, b: Matrix) -> Matrix:
-    """The x with a x = b, for ``a`` with a nonzero diagonal and an acyclic
-    off-diagonal pattern (triangular in some order of its indices).  By back
-    substitution in a topological order, row i of x is b[i] minus the sum of
-    a[i][j] x[j] over j != i, divided by a[i][i]: only a diagonal entry other
-    than 1 divides, so a unit diagonal and an integer ``b`` give an integer x."""
-    k = len(a.rows)
-    after = [dict(zip(*row)) for row in a.rows]
-    diagonal = [row.pop(i, 0) for i, row in enumerate(after)]
-    if not all(diagonal):
-        raise InternalConsistencyError(f"{k}x{k} matrix has a zero on its diagonal")
+def invert_unitriangular(m: Matrix) -> Matrix:
+    """The inverse of a matrix with unit diagonal and an acyclic off-diagonal
+    pattern (triangular in some order of its indices).  By back substitution
+    in a topological order, row i of the inverse is the identity row e_i
+    minus the sum of m[i][j] times row j of the inverse over j != i.  No
+    diagonal entry divides, so an integer matrix has an integer inverse."""
+    k = len(m.rows)
+    after = [dict(zip(*row)) for row in m.rows]
+    if any(row.pop(i, 0) != m.den for i, row in enumerate(after)):
+        raise InternalConsistencyError(f"{k}x{k} matrix has a diagonal entry other than 1")
+    if m.den != 1:
+        after = [{j: Fraction(c, m.den) for j, c in row.items()} for row in after]
     try:
         order = tuple(TopologicalSorter(dict(enumerate(after))).static_order())
     except CycleError:
         raise InternalConsistencyError(f"{k}x{k} matrix has a cycle off the diagonal") from None
     x = [None] * k
     for i in order:  # each row after the rows it needs
-        row = dict(zip(*b.rows[i]))
+        row = {i: 1}
         for j, c in after[i].items():
             for col, y in x[j].items():
                 row[col] = row.get(col, 0) - c * y
-        d = diagonal[i]
-        if d != 1:
-            row = {col: _ratio(v, d) for col, v in row.items()}
         x[i] = row
-    return from_rows(x, Fraction(a.den, b.den))
-
-
-def invert_unitriangular(m: Matrix) -> Matrix:
-    """The inverse of a matrix with unit diagonal and an acyclic off-diagonal
-    pattern; an integer one has an integer inverse."""
-    k = len(m.rows)
-    if any(dict(zip(*row)).get(i) != m.den for i, row in enumerate(m.rows)):
-        raise InternalConsistencyError(f"{k}x{k} matrix has a diagonal entry other than 1")
-    return solve_triangular(m, identity(k))
+    return from_rows(x)

@@ -11,8 +11,9 @@ per-degree matrices built here once and cached:
 * p <-> h by the Newton recurrences r*h_r = sum_k p_k h_{r-k},
 * s -> h by the Jacobi-Trudi determinant, h -> s by inverting it by
   substitution (it is unitriangular in dominance order),
-* m <-> h by triangular solves with p -> h (diagonal prod_i mu_i) and the
-  ordered-block-sum expansion of p_mu in monomials (diagonal prod_i m_i!).
+* m <-> h by Hall duality: h and m are dual bases and the Schur functions
+  are orthonormal, so m in s is s in h transposed and s in m is h in s
+  transposed; m -> h is (s -> h)^T (s -> h) and h -> m is (h -> s)(h -> s)^T.
 
 Only the h -> p matrix has entries that are not integers.
 """
@@ -29,7 +30,7 @@ from .compositions import (
     partition_index,
     partitions_of,
 )
-from .linalg import Matrix, invert_unitriangular, solve_triangular
+from .linalg import Matrix, invert_unitriangular, matmul, transpose
 
 __all__ = [
     "SYM_BASES",
@@ -121,30 +122,6 @@ def _jacobi_trudi_h(lam: Partition) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _p_in_m_row(mu: Partition) -> dict:
-    """p_mu in monomials: m_lam counts the assignments of the parts of mu to
-    len(lam) labeled blocks, block j summing to lam[j].  One memo, keyed on
-    the sorted nonzero capacities left, serves every lam not longer than mu."""
-
-    @cache
-    def count(i, remaining):
-        if i == len(mu):
-            return 1
-        total = 0
-        for j, cap in enumerate(remaining):
-            if cap >= mu[i]:
-                rest = remaining[:j] + remaining[j + 1 :]
-                total += count(i + 1, tuple(sorted(rest + (cap - mu[i],))) if cap > mu[i] else rest)
-        return total
-
-    return {lam: count(0, lam[::-1]) for lam in partitions_of(sum(mu)) if len(lam) <= len(mu)}
-
-
-@cache
-def _p_in_m_matrix(n: int) -> Matrix:
-    return matrix_of(map(_p_in_m_row, partitions_of(n)), partition_index(n))
-
-
 def _multiplicative(generator_row, n: int) -> Matrix:
     """Row lam: the product over the parts r of lam of ``generator_row(r)``."""
     rows = (_product_row(map(generator_row, lam)) for lam in partitions_of(n))
@@ -159,7 +136,8 @@ def _to_h_matrix(basis: str, n: int) -> Matrix:
         return _multiplicative(_p_in_h, n)
     if basis == "s":
         return matrix_of(map(_jacobi_trudi_h, partitions_of(n)), partition_index(n))
-    return solve_triangular(_p_in_m_matrix(n), _to_h_matrix("p", n))  # m
+    s_in_h = _to_h_matrix("s", n)
+    return matmul(transpose(s_in_h), s_in_h)  # m in s, then s in h
 
 
 @cache
@@ -170,7 +148,8 @@ def _from_h_matrix(basis: str, n: int) -> Matrix:
         return _multiplicative(_h_in_p, n)
     if basis == "s":
         return invert_unitriangular(_to_h_matrix("s", n))
-    return solve_triangular(_to_h_matrix("p", n), _p_in_m_matrix(n))  # m
+    h_in_s = _from_h_matrix("s", n)
+    return matmul(h_in_s, transpose(h_in_s))  # h in s, then s in m
 
 
 SYM = Space(

@@ -21,8 +21,8 @@ dense Fraction-generic linear algebra (Gauss-Jordan inversion, products,
 transposes and the application of a matrix to sparse terms) for the
 library's sparse integer matrices.  NSym's transition matrices are
 checked against the builders it used when ``H`` was its hub: sums over
-refinements and coarsenings, and triangular solves and products with the
-ribbon expansions of S and YS.
+refinements and coarsenings, and Gauss-Jordan inverses and products with
+the ribbon expansions of S and YS.
 """
 
 from collections import Counter
@@ -531,8 +531,8 @@ def ribbon_in_schur_matrix(basis: str, n: int):
 def nsym_to_h_matrix(basis: str, n: int):
     """The stored matrix of H coordinates of the degree-n ``basis`` elements
     (E, R, S or YS): alternating sums over refinements for E, signed sums
-    over coarsenings for R, and for S and YS the triangular solve of their
-    ribbon expansions against R -> H."""
+    over coarsenings for R, and for S and YS the Gauss-Jordan inverse of
+    their ribbon expansions times R -> H."""
     comps, index = compositions_of(n), composition_index(n)
     if basis == "E":
         # the same matrix serves H -> E
@@ -550,7 +550,8 @@ def nsym_to_h_matrix(basis: str, n: int):
             for alpha in comps
         )
         return matrix_of(rows, index)
-    return linalg.solve_triangular(ribbon_in_schur_matrix(basis, n), nsym_to_h_matrix("R", n))
+    ribbons = invert(dense_rows(ribbon_in_schur_matrix(basis, n)))
+    return stored(matmul(ribbons, dense_rows(nsym_to_h_matrix("R", n))))
 
 
 @cache

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ncsf.cli import main
+from ncsf.errors import InternalConsistencyError
 from ncsf.serialize import to_json
 from ncsf.characters import Check, VerificationReport
 
@@ -259,6 +260,19 @@ def test_verify_failure_maps_to_exit_one(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "main-theorem", "-n", "2")
     assert code == 1
     assert "FAIL stub: boom" in out
+
+
+def test_broken_invariant_exits_three(capsys, monkeypatch):
+    import ncsf.cli as cli_module
+
+    def broken_suite(suite, n):
+        raise InternalConsistencyError("stub invariant failed")
+
+    monkeypatch.setattr(cli_module, "run_suite", broken_suite)
+    code, out, err = run_cli(capsys, "verify", "main-theorem", "-n", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "ncsf: stub invariant failed\n"
 
 
 def test_verify_out_of_bounds(capsys, monkeypatch):

@@ -4,17 +4,19 @@ paths they replace.
 At every degree n <= 7: the substitution inverse against Fraction
 Gauss-Jordan on each matrix it inverts, NSym's to-R and from-R builders
 against each other's Gauss-Jordan inverse and S -> H and YS -> H against
-the inverse ribbon expansions times the old R -> H sums, the triangular
-solves of Sym's ``m`` basis against Gauss-Jordan and dense products, the
-closed-form M -> F matrix against the inverse of F -> M, sparse products,
-transposes and solves against their dense oracles, the pruned
-Jacobi-Trudi expansion against the full permutation sum, and the p -> m
-block counts against a count of every assignment and, up to n = 10,
-against a memo per entry.
+the inverse ribbon expansions times the old R -> H sums, the closed-form
+M -> F matrix against the inverse of F -> M, sparse products, transposes
+and products with substitution inverses against their dense oracles, and
+the pruned Jacobi-Trudi expansion against the full permutation sum.  Up
+to n = 10, Sym's ``m`` matrices, built by Hall duality from the Schur
+ones, against the power-sum route they replace: the block counts of p in
+m (every assignment of parts to blocks up to n = 7, a memo per entry up
+to n = 10) solved densely against p -> h.
 Every cached builder stores sparse rows of nonzero ints over the least
-denominator.  Then the guards of the triangular solve.
+denominator.  Then the guards of the substitution inverse.
 """
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -23,7 +25,7 @@ from ncsf import nsym, qsym, sym
 from ncsf._linear import dense_rows, transition_matrix
 from ncsf.compositions import partitions_of
 from ncsf.errors import InternalConsistencyError
-from ncsf.linalg import Matrix, invert_unitriangular, matmul, solve_triangular, transpose
+from ncsf.linalg import Matrix, invert_unitriangular, matmul, transpose
 from ncsf.nsym import NSYM
 from ncsf.qsym import QSYM
 from ncsf.sym import SYM
@@ -42,7 +44,7 @@ DEGREES = range(1, 8)
 
 
 def _unitriangular(n):
-    """Every matrix the builders invert or solve by substitution, by name."""
+    """Every matrix the builders invert by substitution, by name."""
     return {
         "dhat": dhat_rows(n),
         "QS -> F": qsym._to_f_matrix("QS", n),
@@ -68,7 +70,7 @@ def _builders(n):
         for space in (SYM, QSYM, NSYM)
     }
     unitriangular = _unitriangular(n)
-    built["Sym"] |= {"p in m": sym._p_in_m_matrix(n), "s -> h": unitriangular.pop("s -> h")}
+    built["Sym"]["s -> h"] = unitriangular.pop("s -> h")
     built["QSym"] |= {name: unitriangular.pop(name) for name in ("dhat", "QS -> F")}
     built["NSym"] |= unitriangular
     return built
@@ -100,9 +102,21 @@ def test_builders_use_the_exact_inverses(n):
         assert dense_rows(transition_matrix(NSYM, basis, "H", n)) == expected
 
 
-@pytest.mark.parametrize("n", DEGREES)
-def test_monomial_matrices_are_integer_triangular_solves(n):
-    p_in_m = dense_rows(sym._p_in_m_matrix(n))
+def _p_in_m(n):
+    """The dense p -> m matrix of the block counts: each entry by one memo
+    per entry, and up to n = 7 also by every assignment of parts to blocks."""
+    parts = partitions_of(n)
+    p_in_m = tuple(tuple(oracles.ordered_block_count(mu, lam) for lam in parts) for mu in parts)
+    if n <= 7:
+        assert p_in_m == tuple(
+            tuple(block_count_by_assignments(mu, lam) for lam in parts) for mu in parts
+        )
+    return p_in_m
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_monomial_matrices_equal_the_power_sum_route(n):
+    p_in_m = _p_in_m(n)
     p_to_h, h_to_p = (dense_rows(build("p", n)) for build in (sym._to_h_matrix, sym._from_h_matrix))
     m_to_h, h_to_m = sym._to_h_matrix("m", n), sym._from_h_matrix("m", n)
     assert _is_integer(m_to_h) and _is_integer(h_to_m)
@@ -128,12 +142,11 @@ def test_sparse_operations_equal_their_dense_oracles(n):
             for b_name, b in group.items():
                 want = oracles.matmul(dense[space, a_name], dense[space, b_name])
                 assert dense_rows(matmul(a, b)) == want, (space, a_name, b_name)
-    triangular = _unitriangular(n) | {"p in m": sym._p_in_m_matrix(n), "p -> h": sym._to_h_matrix("p", n)}
-    for a_name, a in triangular.items():
+    for a_name, a in _unitriangular(n).items():
         inverse = invert(dense_rows(a))
         for (space, b_name), b in dense.items():
             if len(b) == len(a.rows):
-                got = solve_triangular(a, built[space][b_name])
+                got = matmul(invert_unitriangular(a), built[space][b_name])
                 assert dense_rows(got) == oracles.matmul(inverse, b), (a_name, space, b_name)
 
 
@@ -156,55 +169,26 @@ def test_pruned_jacobi_trudi_matches_permutation_sum(n):
         assert sym._jacobi_trudi_h(lam) == jacobi_trudi_by_permutations(lam), lam
 
 
-@pytest.mark.parametrize("n", DEGREES)
-def test_memoized_block_count_matches_assignments(n):
-    p_in_m = dense_rows(sym._p_in_m_matrix(n))
-    parts = partitions_of(n)
-    for i, mu in enumerate(parts):
-        for j, lam in enumerate(parts):
-            assert p_in_m[i][j] == block_count_by_assignments(mu, lam), (mu, lam)
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_shared_block_count_memo_matches_the_per_entry_count(n):
-    p_in_m = dense_rows(sym._p_in_m_matrix(n))
-    parts = partitions_of(n)
-    for i, mu in enumerate(parts):
-        assert list(p_in_m[i]) == [oracles.ordered_block_count(mu, lam) for lam in parts], mu
-
-
 @pytest.mark.parametrize(
-    "m",
+    "m, guard",
     [
-        ((2,),),
-        ((1, 0), (0, -1)),
-        ((0, 1), (1, 0)),
-        ((1, 1), (1, 1)),
-        ((1, 2, 0), (0, 1, 3), (4, 0, 1)),  # the cycle 0 -> 1 -> 2 -> 0
+        (((2,),), "diagonal entry"),
+        (((0,),), "diagonal entry"),
+        (((1, 0), (0, -1)), "diagonal entry"),
+        (((0, 1), (1, 0)), "diagonal entry"),
+        (((1, 1), (1, 1)), "cycle"),
+        (((1, 2, 0), (0, 1, 3), (4, 0, 1)), "cycle"),  # the cycle 0 -> 1 -> 2 -> 0
+        (((2, 1), (1, 2)), "diagonal entry"),
+        (((1, 2, 0), (0, 3, 3), (4, 0, 5)), "diagonal entry"),
     ],
-    ids=["scalar", "diagonal", "swap", "two-cycle", "three-cycle"],
+    ids=[
+        "scalar", "zero", "diagonal", "swap", "two-cycle", "three-cycle",
+        "two-cycle-diagonal-2", "three-cycle-diagonal-1-3-5",
+    ],
 )
-def test_substitution_inverse_refuses_non_unitriangular(m):
-    with pytest.raises(InternalConsistencyError):
+def test_substitution_inverse_refuses_non_unitriangular(m, guard):
+    with pytest.raises(InternalConsistencyError, match=guard):
         invert_unitriangular(stored(m))
-
-
-@pytest.mark.parametrize(
-    "m",
-    [((0,),), ((0, 1), (1, 0)), ((2, 1), (1, 2)), ((1, 2, 0), (0, 3, 3), (4, 0, 5))],
-    ids=["zero", "swap", "two-cycle", "three-cycle"],
-)
-def test_triangular_solve_refuses_a_zero_diagonal_or_a_cycle(m):
-    with pytest.raises(InternalConsistencyError):
-        solve_triangular(stored(m), stored(identity(len(m))))
-
-
-def test_triangular_solve_divides_by_the_diagonal():
-    m = ((2, 0, 0), (1, 3, 0), (0, 5, 1))
-    inverse = solve_triangular(stored(m), stored(identity(3)))
-    assert inverse.den == 6
-    assert dense_rows(inverse) == invert(m)
-    assert dense_rows(solve_triangular(stored(m), stored(m))) == identity(3)
 
 
 def _inverse(m):
@@ -215,5 +199,6 @@ def test_substitution_inverse_small_cases():
     assert _inverse(()) == ()
     assert _inverse(identity(3)) == identity(3)
     assert _inverse(((1, 0), (5, 1))) == ((1, 0), (-5, 1))
+    assert _inverse(((1, 0), (Fraction(1, 2), 1))) == ((1, 0), (Fraction(-1, 2), 1))
     m = ((1, 0, 2), (3, 1, 4), (0, 0, 1))  # upper unitriangular in the order 1, 0, 2
     assert oracles.matmul(_inverse(m), m) == identity(3)

@@ -3,7 +3,9 @@ and for the substitution inverse its matrix builders use.
 
 For every ordered basis pair of every space, on random elements of mixed
 degree at most 5: conversion round trips, conversion is linear, and each
-row of a transition matrix is the conversion of one basis element.  For
+row of a transition matrix is the conversion of one basis element.  On
+random elements in random bases, the QSym-NSym duality pairing is linear
+in each argument, and ``star`` and the QSym reversal are involutions.  For
 every basis pair and degree at most 6, applying a stored sparse matrix to
 random terms equals applying its dense form in Fraction arithmetic.  On
 random integer matrices: the substitution inverse of a unitriangular
@@ -42,10 +44,13 @@ from ncsf import (
     convolve,
     delta,
     descent_span_coordinates,
+    duality_pairing,
     nsym_convert,
     nsym_multiply,
     psi_inverse,
     qsym_convert,
+    reversal_automorphism,
+    star_antiautomorphism,
     sym_convert,
     sym_multiply,
     theta,
@@ -123,6 +128,37 @@ def test_convert_round_trips_and_is_linear(space, source, target, data):
     assert type(there) is cls and there.basis == target
     assert convert(there, source) == x
     assert convert(x * c + y, target) == there * c + convert(y, target)
+
+
+def _element(data, space):
+    """A random element of mixed degree at most TOP in a random basis."""
+    cls, _, _, bases, _ = SPACES[space]
+    return cls(data.draw(st.sampled_from(bases)), data.draw(TERMS[space]))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_duality_pairing_is_bilinear(data):
+    x, y = _element(data, "qsym"), _element(data, "nsym")
+    x2 = qsym_convert(_element(data, "qsym"), x.basis)
+    y2 = nsym_convert(_element(data, "nsym"), y.basis)
+    a, b = data.draw(scalars), data.draw(scalars)
+    pair = duality_pairing
+    assert pair(a * x + b * x2, y) == a * pair(x, y) + b * pair(x2, y)
+    assert pair(x, a * y + b * y2) == a * pair(x, y) + b * pair(x, y2)
+
+
+@pytest.mark.parametrize(
+    "space,involution,image_basis",
+    [("nsym", star_antiautomorphism, "R"), ("qsym", reversal_automorphism, "F")],
+    ids=["star", "reversal"],
+)
+@EXAMPLES
+@given(data=st.data())
+def test_star_and_reversal_are_involutions(space, involution, image_basis, data):
+    x = _element(data, space)
+    convert = SPACES[space][1]
+    assert involution(involution(x)) == convert(x, image_basis)
 
 
 @pytest.mark.parametrize("space,source,target", PAIRS)

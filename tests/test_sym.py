@@ -91,8 +91,8 @@ def test_conversions_are_multiplicative_on_generators():
 
 
 def test_jacobi_trudi_matches_kostka_expansion():
-    # the monomial route goes through power sums, so the Kostka numbers are
-    # an independent check on the Schur expansions
+    # h -> m is the inverse Jacobi-Trudi matrix times its transpose, so the
+    # Kostka numbers, counted as tableaux, are an independent check on both
     for n in range(0, 7):
         for lam in partitions_of(n):
             expanded = sym_convert(schur(lam), "m")
@@ -102,6 +102,21 @@ def test_jacobi_trudi_matches_kostka_expansion():
                 if kostka_counts(lam, mu)
             }
             assert expanded.terms == expected, lam
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_schur_to_monomial_matrix_is_the_kostka_table(n):
+    parts = partitions_of(n)
+    want = tuple(tuple(kostka_counts(lam, mu) for mu in parts) for lam in parts)
+    assert transition_matrix("s", "m", n) == want
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_complete_and_monomial_bases_are_dual_under_power_sum_pairing(n):
+    for lam in partitions_of(n):
+        h = sym_basis_element("h", lam)
+        for mu in partitions_of(n):
+            assert p_inner_product(h, sym_basis_element("m", mu)) == (lam == mu), (lam, mu)
 
 
 def test_schur_orthonormality_under_power_sum_pairing():
