@@ -10,9 +10,9 @@ degree of ``_EXPAND_TOP``, ``char --young``/``--irreducible`` at n <= 5 and
 for every partition of 6 and 7, every ``verify`` suite at n <= 4 and at the
 degrees of ``_VERIFY_LARGE`` (text and ``--json``), the QSym conversions of
 ``_CONVERT`` at the ``convert`` degree 8 in JSON, ``tableaux syct`` for
-every composition of n <= 5 and ``tableaux syt`` for every partition of
-n <= 7 (``--count`` and ``--list``), ``tableaux syct --list`` for every
-composition of 6, and a few refusals.  One more test checks QSym's M -> F
+every composition of n <= 5 and n = 7 and ``tableaux syt`` for every
+partition of n <= 8 (``--count`` and ``--list``), ``tableaux syct --list``
+for every composition of 6, and a few refusals.  One more test checks QSym's M -> F
 matrix at n = 10 entry by entry against the Moebius sign sum.
 
 To record the digests again (only when an output is meant to change):
@@ -107,8 +107,13 @@ def _commands() -> dict:
     groups["tableaux-large"] = [
         ["tableaux", "syct", "--shape", _label(alpha), "--list"] for alpha in compositions_of(6)
     ] + [
-        ["tableaux", "syt", "--shape", _label(lam), mode]
-        for lam in partitions_of(7)
+        ["tableaux", kind, "--shape", _label(shape), mode]
+        for kind, shapes, n in (
+            ("syct", compositions_of, 7),
+            ("syt", partitions_of, 7),
+            ("syt", partitions_of, 8),
+        )
+        for shape in shapes(n)
         for mode in ("--count", "--list")
     ]
     groups["char"] = [
