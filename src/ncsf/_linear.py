@@ -7,7 +7,8 @@ has one row per degree-n element of basis ``b``, holding its hub
 coordinates; ``from_hub(b, n)`` holds the ``b`` coordinates of each hub
 element.  Every conversion and transition matrix takes the one route
 ``_route`` gives, through the hub, so a space module supplies only those
-builders and its own operations.
+builders and its own operations; a product is taken in a multiplicative
+basis (``multiply``).
 Matrices are stored sparse (``linalg.Matrix``); only ``dense_rows`` densifies.
 
 An element is a frozen ``Element`` subclass that names its space; the
@@ -213,6 +214,13 @@ def convert(x: Element, target: str) -> Element:
     if target == x.basis:
         return x
     return x._of(target, convert_terms(x.space, x.terms, x.basis, target))
+
+
+def multiply(x: Element, y: Element, basis: str, combine) -> Element:
+    """The product of ``x`` and ``y``, taken in a multiplicative ``basis``
+    whose indices multiply by ``combine``, in the basis of ``x``."""
+    xb, yb = convert(x, basis), convert(y, basis)
+    return convert(x._of(basis, product_terms(xb.terms, yb.terms, combine)), x.basis)
 
 
 def transition_matrix(space: Space, source: str, target: str, n: int) -> Matrix:

@@ -25,25 +25,15 @@ from .characters import irreducible_character, young_character
 from .nsym import NSYM
 from .qsym import QSYM
 from .sym import SYM
-from .tableaux import (
-    _count_chains,
-    _syct_uncovers,
-    _syt_uncovers,
-    descent_composition_syct,
-    descent_composition_syt,
-    enumerate_syct,
-    enumerate_syt,
-)
+from .tableaux import SYCT, SYT, _count_chains, enumerate_syct, enumerate_syt
+from .tableaux import descent_composition_syct as descents
 from .verification import SUITES, run_suite
 
 __all__ = ["main", "run", "build_parser"]
 
 SPACES = {"sym": SYM, "qsym": QSYM, "nsym": NSYM}
-# kind -> (cover rule undone, lister, descent composition)
-_TABLEAUX = {
-    "syct": (_syct_uncovers, enumerate_syct, descent_composition_syct),
-    "syt": (_syt_uncovers, enumerate_syt, descent_composition_syt),
-}
+# kind -> (tableau class, with its shape checker and cover rule undone; lister)
+_TABLEAUX = {"syct": (SYCT, enumerate_syct), "syt": (SYT, enumerate_syt)}
 
 
 class UsageError(NcsfError):
@@ -90,13 +80,7 @@ def _cmd_expand(args) -> int:
     index = _parse_index(args.index)
     n = sum(index)
     _check_bound(n)
-    try:
-        space.check_index(index)
-    except ValueError:
-        # only Sym restricts the parsed index: its indices are partitions
-        raise UsageError(
-            f"{args.space} indices are partitions (weakly decreasing): {args.index!r}"
-        ) from None
+    space.check_index(index)
     terms = convert_terms(space, {index: 1}, source, target)
     payload = serialize.element_payload(args.space, target, n, terms, space.indices(n))
     print(serialize.to_json(payload))
@@ -126,12 +110,10 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_tableaux(args) -> int:
-    shape = _parse_index(args.shape)
-    if args.kind == "syt" and any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-        raise UsageError(f"syt shapes are partitions (weakly decreasing): {args.shape!r}")
-    uncovers, enumerate_shape, descents = _TABLEAUX[args.kind]
+    kind, enumerate_shape = _TABLEAUX[args.kind]
+    shape = kind._check_shape(_parse_index(args.shape))
     if not args.list:
-        print(_count_chains(shape, uncovers))
+        print(_count_chains(shape, kind._uncovers))
         return 0
     payload = [
         {"rows": [list(row) for row in t.rows], "descent_composition": list(descents(t))}
@@ -149,8 +131,6 @@ def _cmd_char(args) -> int:
         kind = "young"
     else:
         index = _parse_index(args.irreducible)
-        if any(index[i] < index[i + 1] for i in range(len(index) - 1)):
-            raise UsageError(f"irreducible characters are indexed by partitions: {args.irreducible!r}")
         _check_bound(sum(index))
         cf = irreducible_character(index)
         kind = "irreducible"

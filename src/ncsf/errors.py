@@ -37,7 +37,9 @@ class NotInDescentSpanError(NcsfError):
 
 
 class ResourceLimitError(NcsfError):
-    """A requested degree exceeds the configured group-algebra bound."""
+    """A job would exceed a resource bound: a degree above the configured
+    group-algebra bound, or a chain count through more shapes than the fixed
+    bound of ``tableaux._count_chains``."""
 
 
 class InternalConsistencyError(NcsfError):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from operator import add
 
-from ._linear import Element, Space, convert, dense_rows, product_terms
+from ._linear import Element, Space, convert, dense_rows, multiply
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     check_composition,
@@ -101,8 +101,7 @@ def nsym_convert(x: NSymElement, target: str) -> NSymElement:
 
 def nsym_multiply(x: NSymElement, y: NSymElement) -> NSymElement:
     """Product in the free algebra: indices concatenate in the H basis."""
-    xh, yh = nsym_convert(x, "H"), nsym_convert(y, "H")
-    return nsym_convert(NSymElement._of("H", product_terms(xh.terms, yh.terms, add)), x.basis)
+    return multiply(x, y, "H", add)
 
 
 def star_antiautomorphism(x: NSymElement) -> NSymElement:

@@ -21,7 +21,7 @@ Only the h -> p matrix has entries that are not integers.
 from fractions import Fraction
 from functools import cache
 
-from ._linear import Element, Space, convert, dense_rows, matrix_of, product_terms
+from ._linear import Element, Space, convert, dense_rows, matrix_of, multiply, product_terms
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     Partition,
@@ -178,9 +178,8 @@ def sym_convert(x: SymElement, target: str) -> SymElement:
 
 
 def sym_multiply(x: SymElement, y: SymElement) -> SymElement:
-    """Product in Sym, computed through the multiplicative power-sum basis."""
-    xp, yp = sym_convert(x, "p"), sym_convert(y, "p")
-    return sym_convert(SymElement._of("p", product_terms(xp.terms, yp.terms, _merge)), x.basis)
+    """Product in Sym: indices merge in the multiplicative hub basis h."""
+    return multiply(x, y, "h", _merge)
 
 
 def schur(lam) -> SymElement:

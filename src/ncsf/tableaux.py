@@ -20,13 +20,15 @@ composition poset (Bessenrodt, Luoto and van Willigenburg, Adv. Math. 226,
 row of length 1, or a cell to the highest-index row of each distinct length
 k, in column k+1; taking the lowest-index row gives wrong counts from n=3.
 SYTs of shape lam are likewise the saturated chains from () to lam in
-Young's lattice, a cover adding a corner.  Both kinds are listed
-(``_chains``) and counted (``_count_chains``) from their cover rule undone,
-without recursion, so no shape is too long for Python's recursion limit.
-An SYCT is validated on the chain too (``is_valid_syct``): the three
-conditions above are the definition, checked against the chain test in the
-tests.  i is a descent of an SYCT when i+1 is in the column of i or further
-left.
+Young's lattice, a cover adding a corner.  So both are one kind of tableau
+(``_Tableau``), each naming its shape checker and its cover rule undone,
+with one validator (``_is_chain``), one lister (``_chains``), one counter
+(``_count_chains``) and one descent rule: i is a descent when i+1 is in the
+column of i or further left, on an SYT exactly when it is in a higher row.
+None of them recurses, so no shape is too long for the recursion limit.
+The constructors check everything; the listers build what the chain walk
+made valid without a second check (``_Tableau._of``).  The tests check the
+chain test against the conditions of the definitions.
 """
 
 from collections import Counter
@@ -43,7 +45,7 @@ from .compositions import (
     compositions_of,
     underlying_partition,
 )
-from .errors import DegreeMismatchError, MalformedFillingError
+from .errors import DegreeMismatchError, MalformedFillingError, ResourceLimitError
 from .linalg import Matrix, from_rows
 
 __all__ = [
@@ -79,23 +81,39 @@ class CompositionDiagram:
         )
 
 
-def is_valid_syct(shape: Composition, filling) -> bool:
-    """Check that a filling of the diagram of ``shape`` is an SYCT: a
-    saturated chain, so for m = n, ..., 1 the cell holding m is one that a
-    cover undone (``_syct_uncovers``) removes from the shape left so far.
+def _syct_uncovers(shape: Composition):
+    """The shapes ``shape`` covers, each with the cell (row, column) it lacks:
+    ``_covers`` undone."""
+    if shape and shape[-1] == 1:
+        yield shape[:-1], (len(shape), 1)
+    for i, k in enumerate(shape):
+        if k > 1 and k - 1 not in shape[i + 1 :]:
+            yield shape[:i] + (k - 1,) + shape[i + 1 :], (i + 1, k)
+
+
+def _syt_uncovers(lam: Partition):
+    """The partitions ``lam`` covers, each with the corner (row, column) it lacks."""
+    for i, k in enumerate(lam):
+        if i + 1 == len(lam) or lam[i + 1] < k:
+            yield lam[:i] + ((k - 1,) if k > 1 else ()) + lam[i + 1 :], (i + 1, k)
+
+
+def _is_chain(shape, filling, uncovers) -> bool:
+    """Whether ``filling`` is a saturated chain from () to ``shape``: for
+    m = n, ..., 1 the cell holding m is one that a cover undone
+    (``uncovers``) removes from the shape left so far.
 
     ``filling`` maps cells (row, col), rows from the bottom, to entries.
     Raises MalformedFillingError unless it is a bijection from the cells of
-    ``shape`` onto {1, ..., n}; returns False only for condition failures.
+    ``shape`` onto {1, ..., n}.
     """
-    shape = check_composition(shape)
     n = sum(shape)
     if set(filling) != set(CompositionDiagram(shape).cells):
         raise MalformedFillingError("filling does not cover exactly the cells of the shape")
     if sorted(filling.values()) != list(range(1, n + 1)):
         raise MalformedFillingError(f"filling values are not a bijection onto [{n}]")
     for last in sorted(filling, key=filling.get, reverse=True):
-        for smaller, cell in _syct_uncovers(shape):
+        for smaller, cell in uncovers(shape):
             if cell == last:
                 shape = smaller
                 break
@@ -104,84 +122,70 @@ def is_valid_syct(shape: Composition, filling) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SYCT:
-    """Standard Young composition tableau; ``rows`` are bottom row first."""
+def is_valid_syct(shape: Composition, filling) -> bool:
+    """Whether a filling {(row, col): entry} of the diagram of ``shape`` is
+    an SYCT, a saturated chain of the composition poset; raises
+    MalformedFillingError as ``_is_chain`` does."""
+    return _is_chain(check_composition(shape), filling, _syct_uncovers)
 
-    shape: Composition
+
+@dataclass(frozen=True)
+class _Tableau:
+    """A standard tableau, a saturated chain from () to ``shape``; ``rows``
+    are bottom row first.  A subclass names its shape checker and its cover
+    rule undone."""
+
+    shape: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        shape = check_composition(self.shape)
+        shape = self._check_shape(self.shape)
         rows = tuple(tuple(row) for row in self.rows)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
         if tuple(len(row) for row in rows) != shape:
             raise MalformedFillingError(f"rows {rows} do not fill shape {shape}")
         filling = {(i + 1, j + 1): x for i, row in enumerate(rows) for j, x in enumerate(row)}
-        if not is_valid_syct(shape, filling):
-            raise ValueError(f"not a valid SYCT of shape {shape}: {rows}")
+        if not _is_chain(shape, filling, self._uncovers):
+            raise ValueError(f"not a valid {type(self).__name__} of shape {shape}: {rows}")
+
+    @classmethod
+    def _of(cls, shape: tuple[int, ...], rows: tuple[tuple[int, ...], ...]):
+        """The tableau of a checked shape and a chain's rows, built as is."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "rows", rows)
+        return t
 
     @property
     def size(self) -> int:
         return sum(self.shape)
+
+    def reading_word(self) -> tuple[int, ...]:
+        return tuple(x for row in self.rows for x in row)
+
+
+class SYCT(_Tableau):
+    """Standard Young composition tableau; ``rows`` are bottom row first."""
+
+    _check_shape = staticmethod(check_composition)
+    _uncovers = staticmethod(_syct_uncovers)
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
 
-    def reading_word(self) -> tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
 
-
-@dataclass(frozen=True)
-class SYT:
+class SYT(_Tableau):
     """Standard Young tableau of partition shape; ``rows`` are bottom row first,
     so columns increase bottom to top."""
 
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        shape = check_partition(self.shape)
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
-        if tuple(len(row) for row in rows) != shape:
-            raise MalformedFillingError(f"rows {rows} do not fill shape {shape}")
-        n = sum(shape)
-        if sorted(x for row in rows for x in row) != list(range(1, n + 1)):
-            raise MalformedFillingError(f"filling values are not a bijection onto [{n}]")
-        for row in rows:
-            if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-                raise ValueError(f"rows must increase left to right: {rows}")
-        for i in range(len(rows) - 1):
-            for j in range(len(rows[i + 1])):
-                if rows[i][j] >= rows[i + 1][j]:
-                    raise ValueError(f"columns must increase bottom to top: {rows}")
-
-    @property
-    def size(self) -> int:
-        return sum(self.shape)
-
-    def reading_word(self) -> tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
+    _check_shape = staticmethod(check_partition)
+    _uncovers = staticmethod(_syt_uncovers)
 
 
-def enumerate_syct(alpha) -> tuple[SYCT, ...]:
-    """All SYCTs of shape ``alpha``, ordered lexicographically by reading word."""
-    return _enumerate_syct(check_composition(alpha))
-
-
-@cache
-def _enumerate_syct(alpha: Composition) -> tuple[SYCT, ...]:
-    return tuple(SYCT(alpha, rows) for rows in _chains(alpha, _syct_uncovers))
-
-
-enumerate_syct.cache_info = _enumerate_syct.cache_info
-
-
-def descent_composition_syct(tableau: SYCT) -> Composition:
-    """comp of { i : i+1 sits in the same column as i or further left }."""
+def descent_composition_syct(tableau: _Tableau) -> Composition:
+    """comp of { i : i+1 sits in the same column as i or further left }; on
+    an SYT, of { i : i+1 sits in a higher row than i }."""
     n = tableau.size
     if n == 0:
         return ()
@@ -190,16 +194,7 @@ def descent_composition_syct(tableau: SYCT) -> Composition:
     return comp_of(descents, n)
 
 
-def descent_composition_syt(tableau: SYT) -> Composition:
-    """comp of { i : i+1 sits in a higher row than i }."""
-    n = tableau.size
-    if n == 0:
-        return ()
-    row_of = {
-        value: i for i, row in enumerate(tableau.rows) for value in row
-    }
-    descents = [i for i in range(1, n) if row_of[i + 1] > row_of[i]]
-    return comp_of(descents, n)
+descent_composition_syt = descent_composition_syct
 
 
 def rho_bar(tableau: SYCT) -> SYT:
@@ -221,14 +216,24 @@ def rho_bar(tableau: SYCT) -> SYT:
     return SYT(lam, rows)
 
 
+def enumerate_syct(alpha) -> tuple[SYCT, ...]:
+    """All SYCTs of shape ``alpha``, ordered lexicographically by reading word."""
+    return _listing(SYCT, check_composition(alpha))
+
+
 def enumerate_syt(lam) -> tuple[SYT, ...]:
     """All SYTs of shape ``lam``, ordered lexicographically by reading word."""
-    return _enumerate_syt(check_partition(lam))
+    return _listing(SYT, check_partition(lam))
 
 
 @cache
-def _enumerate_syt(lam: Partition) -> tuple[SYT, ...]:
-    return tuple(SYT(lam, rows) for rows in _chains(lam, _syt_uncovers))
+def _listing(kind: type[_Tableau], shape: tuple[int, ...]) -> tuple:
+    """The tableaux of ``kind`` and checked ``shape``, built from their chains
+    without a second check."""
+    return tuple(kind._of(shape, rows) for rows in _chains(shape, kind._uncovers))
+
+
+enumerate_syct.cache_info = _listing.cache_info
 
 
 def _covers(shape: Composition):
@@ -239,35 +244,28 @@ def _covers(shape: Composition):
             yield shape[:i] + (k + 1,) + shape[i + 1 :], k + 1
 
 
-def _syct_uncovers(shape: Composition):
-    """The shapes ``shape`` covers, each with the cell (row, column) it lacks:
-    ``_covers`` undone."""
-    if shape and shape[-1] == 1:
-        yield shape[:-1], (len(shape), 1)
-    for i, k in enumerate(shape):
-        if k > 1 and k - 1 not in shape[i + 1 :]:
-            yield shape[:i] + (k - 1,) + shape[i + 1 :], (i + 1, k)
-
-
-def _syt_uncovers(lam: Partition):
-    """The partitions ``lam`` covers, each with the corner (row, column) it lacks."""
-    for i, k in enumerate(lam):
-        if i + 1 == len(lam) or lam[i + 1] < k:
-            yield lam[:i] + ((k - 1,) if k > 1 else ()) + lam[i + 1 :], (i + 1, k)
+# the shapes ``_count_chains`` may reach: below (1, ..., 9) lie 409,113,
+# below (1, ..., 10) 4,037,913
+_MAX_SHAPES = 500_000
 
 
 def _count_chains(shape, uncovers) -> int:
-    """The saturated chains from () to ``shape``: the shapes below it are
-    collected level by level, then counts are summed upward from ()."""
-    below, level = {}, {shape}
+    """The saturated chains from () to ``shape``, counted level by level down
+    from ``shape``, each shape of a level holding the number of chains from
+    it up to ``shape``.  Only one level is kept; ResourceLimitError once
+    more than ``_MAX_SHAPES`` shapes have been reached."""
+    level, reached = {shape: 1}, 1
     for _ in range(sum(shape)):
-        for s in level:
-            below[s] = [t for t, _ in uncovers(s)]
-        level = {t for s in level for t in below[s]}
-    count = {(): 1}
-    for s in reversed(below):
-        count[s] = sum(count[t] for t in below[s])
-    return count[shape]
+        step = {}
+        for s, count in level.items():
+            if reached + len(step) > _MAX_SHAPES:
+                raise ResourceLimitError(
+                    f"more than {_MAX_SHAPES} shapes lie below {shape}; too many to count through"
+                )
+            for t, _ in uncovers(s):
+                step[t] = step.get(t, 0) + count
+        level, reached = step, reached + len(step)
+    return level[()]
 
 
 def _chains(shape, uncovers) -> list:

@@ -5,7 +5,9 @@ library code under test: hook lengths for tableau counts, border-strip
 recursion for character values, explicit coset counting for induced
 characters, the three SYCT conditions of the definition checked cell by
 cell (the reference for the library's chain test of SYCT validity, and the
-filter of a brute-force tableau enumeration), a backtracker that places n,
+filter of a brute-force tableau enumeration), the row and column conditions
+of an SYT (the reference for the same chain test in Young's lattice), the
+row rule for the descents of an SYT, a backtracker that places n,
 n-1, ..., 1 under the same conditions (the reference for the library's
 chain listing of SYCTs and for the ``dhat`` matrix), a block walk for
 refinement (the reference for cut-set inclusion), the full permutation sum
@@ -22,7 +24,8 @@ transposes and the application of a matrix to sparse terms) for the
 library's sparse integer matrices.  NSym's transition matrices are
 checked against the builders it used when ``H`` was its hub: sums over
 refinements and coarsenings, and Gauss-Jordan inverses and products with
-the ribbon expansions of S and YS.
+the ribbon expansions of S and YS.  Sym's product is checked against the
+product taken in the power sums.
 """
 
 from collections import Counter
@@ -39,6 +42,7 @@ from ncsf import (
     descent_composition_syct,
     partitions_of,
     sym_convert,
+    sym_element,
     young_character,
     z_stat,
 )
@@ -195,6 +199,27 @@ def syct_conditions_hold(shape, filling) -> bool:
     return True
 
 
+def syt_conditions_hold(shape, filling) -> bool:
+    """The SYT conditions of the definition, checked cell by cell on a
+    bijective filling {(row, col): entry} of the diagram of the partition
+    ``shape``: rows increase left to right and columns bottom to top."""
+    entry = dict(filling)
+    for i in range(1, len(shape) + 1):
+        for j in range(1, shape[i - 1] + 1):
+            if j < shape[i - 1] and entry[(i, j)] >= entry[(i, j + 1)]:
+                return False
+            if i < len(shape) and j <= shape[i] and entry[(i, j)] >= entry[(i + 1, j)]:
+                return False
+    return True
+
+
+def descent_composition_by_rows(tableau) -> tuple:
+    """comp of { i : i+1 sits in a higher row than i } for an SYT."""
+    n = tableau.size
+    row_of = {value: i for i, row in enumerate(tableau.rows) for value in row}
+    return comp_of([i for i in range(1, n) if row_of[i + 1] > row_of[i]], n) if n else ()
+
+
 def brute_force_syct_rows(alpha) -> set:
     """All valid SYCT fillings of ``alpha`` by filtering every permutation
     through the three conditions."""
@@ -279,6 +304,17 @@ def dhat_by_enumeration(n: int):
         )
         for beta in compositions_of(n)
     )
+
+
+def sym_multiply_through_p(x, y):
+    """The product in Sym taken in the multiplicative power sums, where
+    indices merge, and returned in the basis of ``x``."""
+    xp, yp = sym_convert(x, "p"), sym_convert(y, "p")
+    terms = Counter()
+    for lam, a in xp.terms.items():
+        for mu, b in yp.terms.items():
+            terms[tuple(sorted(lam + mu, reverse=True))] += a * b
+    return sym_convert(sym_element("p", terms), x.basis)
 
 
 def _perm_sign(sigma) -> int:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,29 @@ def test_tableaux_rejects_bad_shape(capsys):
     assert err
     code, _, err = run_cli(capsys, "tableaux", "syt", "--shape", "1,3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tableaux", "syt", "--shape", "1,2", "--count"),
+        ("expand", "--space", "sym", "--from", "s", "--to", "h", "--index", "1,2"),
+        ("char", "--irreducible", "1,2"),
+    ],
+)
+def test_a_shape_that_is_not_a_partition_is_refused_by_the_library(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("ncsf: ") and err.count("\n") == 1
+
+
+def test_tableaux_count_refuses_a_shape_with_too_many_shapes_below(capsys):
+    start = time.perf_counter()
+    shape = ",".join(map(str, range(1, 11)))
+    code, out, err = run_cli(capsys, "tableaux", "syct", "--shape", shape, "--count")
+    assert (code, out) == (2, "")
+    assert err.startswith("ncsf: ") and err.count("\n") == 1
+    assert time.perf_counter() - start < 10
 
 
 def test_char_young(capsys):

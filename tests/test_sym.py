@@ -15,7 +15,7 @@ from ncsf import (
 from ncsf.errors import BasisMismatchError
 from ncsf.sym import transition_matrix
 
-from oracles import is_identity, matmul, p_inner_product
+from oracles import is_identity, matmul, p_inner_product, sym_multiply_through_p
 
 
 def test_h2_in_e_basis():
@@ -68,6 +68,17 @@ def test_multiplication_unit_and_commutativity():
     assert sym_multiply(one, x) == x
     y = sym_basis_element("h", (2, 2))
     assert sym_convert(sym_multiply(x, y), "p") == sym_convert(sym_multiply(y, x), "p")
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_product_through_h_equals_the_product_through_p(n):
+    for a in SYM_BASES:
+        for b in SYM_BASES:
+            for i in range(n + 1):
+                x = sym_element(a, {lam: k + 1 for k, lam in enumerate(partitions_of(i))})
+                ys = enumerate(partitions_of(n - i))
+                y = sym_element(b, {mu: Fraction(1, k + 2) for k, mu in ys})
+                assert sym_multiply(x, y) == sym_multiply_through_p(x, y), (a, b, i, n - i)
 
 
 def test_round_trips_all_basis_pairs():

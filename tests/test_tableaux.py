@@ -18,11 +18,12 @@ from ncsf import (
     rho_bar,
     underlying_partition,
 )
-from ncsf.errors import DegreeMismatchError, MalformedFillingError
+from ncsf.errors import DegreeMismatchError, MalformedFillingError, ResourceLimitError
 from ncsf.linalg import invert_unitriangular
 from ncsf.tableaux import (
     CompositionDiagram,
     _chains,
+    _is_chain,
     _count_chains,
     _covers,
     _syct_uncovers,
@@ -33,12 +34,14 @@ from ncsf.tableaux import (
 from oracles import (
     INVOLUTIONS,
     brute_force_syct_rows,
+    descent_composition_by_rows,
     dhat_by_enumeration,
     hook_length_count,
     invert,
     kostka_by_backtracking,
     syct_conditions_hold,
     syct_rows_by_backtracking,
+    syt_conditions_hold,
 )
 
 # the running example: shape (2,4,1,2), descent composition (1,2,1,2,3)
@@ -84,6 +87,43 @@ def test_is_valid_syct_matches_the_three_conditions_on_every_filling():
             for perm in permutations(range(1, n + 1)):
                 filling = dict(zip(cells, perm))
                 assert is_valid_syct(alpha, filling) == syct_conditions_hold(alpha, filling)
+
+
+def test_syt_chain_test_matches_the_row_and_column_conditions_on_every_filling():
+    for n in range(7):
+        for lam in partitions_of(n):
+            cells = CompositionDiagram(lam).cells
+            for perm in permutations(range(1, n + 1)):
+                filling = dict(zip(cells, perm))
+                assert _is_chain(lam, filling, _syt_uncovers) == syt_conditions_hold(lam, filling)
+
+
+def test_listed_tableaux_equal_their_checked_copies():
+    for n in range(8):
+        for kind, lister, shapes in (
+            (SYCT, enumerate_syct, compositions_of),
+            (SYT, enumerate_syt, partitions_of),
+        ):
+            for shape in shapes(n):
+                for t in lister(shape):
+                    copy = kind(t.shape, t.rows)
+                    assert type(t) is kind
+                    assert (copy, hash(copy), repr(copy)) == (t, hash(t), repr(t))
+
+
+def test_syt_descents_by_the_column_rule_are_the_row_rule():
+    assert descent_composition_syt is descent_composition_syct
+    for n in range(9):
+        for lam in partitions_of(n):
+            for t in enumerate_syt(lam):
+                assert descent_composition_syt(t) == descent_composition_by_rows(t)
+
+
+def test_tableaux_of_equal_rows_differ_by_kind():
+    syct, syt = SYCT((2, 1), ((1, 2), (3,))), SYT((2, 1), ((1, 2), (3,)))
+    assert syct != syt
+    assert repr(syt) == "SYT(shape=(2, 1), rows=((1, 2), (3,)))"
+    assert not hasattr(syt, "entry") and syct.entry(2, 1) == 3
 
 
 def test_enumerators_accept_lists():
@@ -271,6 +311,18 @@ def test_enumerate_syct_equals_the_backtracker(n):
         assert [t.rows for t in enumerate_syct(alpha)] == syct_rows_by_backtracking(alpha)
 
 
+def test_chain_count_below_the_shape_bound():
+    # the staircase (1, ..., 9) has 409,113 shapes below it
+    assert _count_chains(tuple(range(1, 10)), _syct_uncovers) == 5293344082635598724390
+
+
+def test_chain_count_refuses_a_shape_with_too_many_shapes_below():
+    # (12^12) contains binomial(24, 12) = 2,704,156 partitions; the
+    # staircase (1, ..., 10) is refused through the CLI
+    with pytest.raises(ResourceLimitError):
+        _count_chains((12,) * 12, _syt_uncovers)
+
+
 def test_chains_of_shapes_longer_than_the_recursion_limit():
     # one row or one column of 2000 cells holds exactly one tableau of each kind
     entries = tuple(range(1, 2001))
@@ -352,4 +404,10 @@ def test_syt_constructor_validates():
     with pytest.raises(ValueError):
         SYT((2, 1), ((2, 3), (1,)))
     with pytest.raises(ValueError):
+        SYT((2, 2), ((1, 4), (2, 3)))
+    with pytest.raises(ValueError):
         SYT((1, 2), ((1,), (2, 3)))
+    with pytest.raises(MalformedFillingError):
+        SYT((2, 1), ((1, 2, 3), ()))
+    with pytest.raises(MalformedFillingError):
+        SYT((2, 1), ((1, 1), (3,)))
