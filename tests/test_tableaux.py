@@ -23,9 +23,9 @@ from ncsf.linalg import invert_unitriangular
 from ncsf.tableaux import (
     CompositionDiagram,
     _chains,
-    _is_chain,
     _count_chains,
     _covers,
+    _is_chain,
     _syct_uncovers,
     _syt_uncovers,
     dhat_rows,
