@@ -2,14 +2,16 @@
 
 Each of the three spaces is a ``Space`` record: its basis names, a hub
 basis (``h``, ``F`` and ``R``), a checker and a canonical order for the
-indices of each degree, and two per-degree matrix builders.  ``to_hub(b, n)``
-has one row per degree-n element of basis ``b``, holding its hub
-coordinates; ``from_hub(b, n)`` holds the ``b`` coordinates of each hub
-element.  Every conversion and transition matrix takes the one route
-``_route`` gives, through the hub, so a space module supplies only those
-builders and its own operations; a product is taken in a multiplicative
-basis (``multiply``).
-Matrices are stored sparse (``linalg.Matrix``); only ``dense_rows`` densifies.
+indices of each degree, and two per-degree row builders: the row, not the
+degree's matrix, is what the core builds and caches.  ``to_hub(b, n)``, a
+``Hop``, holds row i, the hub coordinates of the i-th degree-n element of
+basis ``b``, built on first read and kept; ``from_hub(b, n)`` holds the
+``b`` coordinates of each hub element.  Every conversion and transition
+matrix takes the one route ``_route`` gives, through the hub: a conversion
+reads only the rows of the support it carries, and ``transition_matrix``
+assembles the same rows into a stored sparse ``linalg.Matrix``.  A space
+module supplies only the row builders and its own operations; a product is
+taken in a multiplicative basis (``multiply``).
 
 An element is a frozen ``Element`` subclass that names its space; the
 subclass is its own type, so elements of different spaces never compare
@@ -23,11 +25,12 @@ from checked terms (a conversion, sum, multiple or product) is not.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Callable, ClassVar
 
 from .errors import BasisMismatchError
-from .linalg import Matrix, from_rows, identity, matmul
+from .linalg import Matrix, identity, matmul
 
 _SCALARS = (int, Fraction)
 
@@ -67,9 +70,16 @@ def _ratio(v: int, den: int):
     return v // den if v % den == 0 else Fraction(v, den)
 
 
-def matrix_of(rows, index: dict) -> Matrix:
-    """The stored matrix of rows {index: coefficient}; ``index`` gives columns."""
-    return from_rows({index[idx]: c for idx, c in row.items()} for row in rows)
+def stored_row(terms: dict, index: dict, scale: int = 1) -> tuple:
+    """The stored row (cols, vals) of nonzero ``int`` terms {index: coefficient},
+    each times ``scale``; ``index`` gives columns."""
+    pairs = sorted((index[idx], c * scale) for idx, c in terms.items())
+    return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
+
+
+def served(m: Matrix) -> tuple:
+    """The denominator and row builder of a hop built as a whole matrix."""
+    return m.den, m.rows.__getitem__
 
 
 def dense_rows(m: Matrix) -> tuple:
@@ -130,9 +140,27 @@ class LinearCombinationOps:
     __rmul__ = __mul__
 
 
+class Hop(dict):
+    """The degree-n rows of one basis in the hub, or of the hub in one basis,
+    read as those of a stored matrix are: ``rows[i]`` is (cols, vals) over
+    ``den``, built by ``build(i)`` on first read and kept."""
+
+    __slots__ = ("den", "build")
+    rows = property(lambda self: self)  # read where a stored matrix's rows are
+
+    def __init__(self, den: int, build: Callable):
+        super().__init__()
+        self.den, self.build = den, build
+
+    def __missing__(self, i):
+        row = self[i] = self.build(i)
+        return row
+
+
 @dataclass(frozen=True)
 class Space:
-    """A graded space with a hub basis; see the module docstring."""
+    """A graded space with a hub basis; see the module docstring.  The cached
+    ``Hop``s of its row builders are ``to_hub(basis, n)`` and ``from_hub``."""
 
     name: str
     bases: tuple
@@ -140,8 +168,15 @@ class Space:
     check_index: Callable
     indices: Callable  # n -> the degree-n indices in canonical order
     index: Callable  # n -> {index: position in canonical order}
-    to_hub: Callable  # (basis, n) -> Matrix, for basis != hub
-    from_hub: Callable  # (basis, n) -> Matrix, for basis != hub
+    # (basis, n) -> (den, i -> row i), for basis != hub: the rows of basis
+    # in the hub, and of the hub in basis
+    to_hub_rows: Callable
+    from_hub_rows: Callable
+
+    def __post_init__(self):
+        for way in ("to_hub", "from_hub"):
+            rows = getattr(self, f"{way}_rows")
+            object.__setattr__(self, way, cache(lambda basis, n, rows=rows: Hop(*rows(basis, n))))
 
     def check_basis(self, basis: str) -> str:
         if basis not in self.bases:
@@ -168,25 +203,28 @@ class Element(LinearCombinationOps):
         return not self.terms
 
 
-def _apply_matrices(terms: dict, space: Space, n: int, *matrices: Matrix) -> dict:
-    """The image of ``terms`` under the stored matrices in turn, as one ``int``
-    vector over one denominator, divided once per coordinate at the end."""
+def _apply_matrices(terms: dict, space: Space, n: int, *matrices) -> dict:
+    """The image of ``terms`` under the stored matrices or hops in turn, as
+    one sparse ``int`` vector over one denominator, reading only the rows
+    of the support each carries; divided once per coordinate at the end,
+    in canonical order."""
     indices, index = space.indices(n), space.index(n)
     # a set: a tuple made from a generator on each call kept 0.4 MB more alive
     den = lcm(*{c.denominator for c in terms.values()})
     vector = {index[idx]: c.numerator * (den // c.denominator) for idx, c in terms.items()}
     for matrix in matrices:
-        out, rows = [0] * len(indices), matrix.rows
+        out, rows = {}, matrix.rows
         for i, c in vector.items():
-            for j, entry in zip(*rows[i]):
-                out[j] += c * entry
-        vector = {j: v for j, v in enumerate(out) if v}
+            if c:  # a coefficient that cancelled builds no row
+                for j, entry in zip(*rows[i]):
+                    out[j] = out.get(j, 0) + c * entry
+        vector = out
         den *= matrix.den
-    return {indices[j]: _ratio(v, den) for j, v in vector.items()}
+    return {indices[j]: _ratio(v, den) for j, v in sorted(vector.items()) if v}
 
 
 def _route(space: Space, source: str, target: str, n: int) -> list:
-    """The cached degree-n matrices that take ``source`` coordinates to
+    """The cached degree-n hops that take ``source`` coordinates to
     ``target`` ones, in order: through the hub, none when the bases agree."""
     route = [space.to_hub(source, n)] if source not in (target, space.hub) else []
     if target not in (source, space.hub):
@@ -226,10 +264,12 @@ def multiply(x: Element, y: Element, basis: str, combine) -> Element:
 def transition_matrix(space: Space, source: str, target: str, n: int) -> Matrix:
     """The stored matrix whose row i expands the i-th degree-n ``source``
     element in ``target`` coordinates; rows and columns in the space's
-    canonical index order."""
+    canonical index order, assembled from each hop's cached rows."""
     for basis in (source, target):
         space.check_basis(basis)
-    route = _route(space, source, target, n)
+    k = len(space.indices(n))
+    hops = _route(space, source, target, n)
+    route = [Matrix(tuple(map(hop.__getitem__, range(k))), hop.den) for hop in hops]
     if len(route) == 2:
         return matmul(*route)
-    return route[0] if route else identity(len(space.indices(n)))
+    return route[0] if route else identity(k)

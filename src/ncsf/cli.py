@@ -19,7 +19,7 @@ from . import serialize
 from ._linear import convert_terms, dense_rows, transition_matrix
 from .compositions import partitions_of
 from .descent import max_group_degree
-from .errors import InternalConsistencyError, NcsfError
+from .errors import InternalConsistencyError, NcsfError, ResourceLimitError
 from .linalg import transpose
 from .characters import irreducible_character, young_character
 from .nsym import NSYM
@@ -34,6 +34,7 @@ __all__ = ["main", "run", "build_parser"]
 SPACES = {"sym": SYM, "qsym": QSYM, "nsym": NSYM}
 # kind -> (tableau class, with its shape checker and cover rule undone; lister)
 _TABLEAUX = {"syct": (SYCT, enumerate_syct), "syt": (SYT, enumerate_syt)}
+_MAX_LISTED = 100_000  # tableaux --list: (4,4,4,4) has 24,024 SYTs, (5,5,5,5) 1,662,804
 
 
 class UsageError(NcsfError):
@@ -112,9 +113,12 @@ def _cmd_matrix(args) -> int:
 def _cmd_tableaux(args) -> int:
     kind, enumerate_shape = _TABLEAUX[args.kind]
     shape = kind._check_shape(_parse_index(args.shape))
+    count = _count_chains(shape, kind._uncovers)
     if not args.list:
-        print(_count_chains(shape, kind._uncovers))
+        print(count)
         return 0
+    if count > _MAX_LISTED:
+        raise ResourceLimitError(f"shape {shape} has {count} tableaux; --list prints {_MAX_LISTED}")
     payload = [
         {"rows": [list(row) for row in t.rows], "descent_composition": list(descents(t))}
         for t in enumerate_shape(shape)

@@ -195,13 +195,16 @@ def coarsenings(alpha: Composition) -> tuple[Composition, ...]:
     alpha = check_composition(alpha)
     n = sum(alpha)
     comps = compositions_of(n)
-    mask = composition_index(n)[alpha]
-    out = [comps[0]]
-    sub = 0
+    return tuple(map(comps.__getitem__, submasks(composition_index(n)[alpha])))
+
+
+def submasks(mask: int) -> list[int]:
+    """The submasks of ``mask``, in increasing order."""
+    out, sub = [0], 0
     while sub != mask:
         sub = (sub - mask) & mask  # the next submask of mask
-        out.append(comps[sub])
-    return tuple(out)
+        out.append(sub)
+    return out
 
 
 def z_stat(mu: Partition) -> int:

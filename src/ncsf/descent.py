@@ -27,8 +27,7 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, permutations
-from operator import itemgetter
+from itertools import accumulate, permutations, repeat
 
 from ._linear import LinearCombinationOps, canonical, normalize_terms
 from .compositions import (
@@ -215,23 +214,31 @@ def delta(alpha) -> GroupAlgebraElement:
 
 def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
     """The group-ring product, extending permutation composition bilinearly.
-    sigma . tau is ``itemgetter(*tau)`` applied to ``(0, *sigma)``; for each
-    tau the products of each weight c1 c2 are counted in C."""
+    With sigma as the 256-byte table (0, *sigma) and tau as bytes, sigma . tau
+    is ``tau.translate(table)``; the products of each pair of weights are
+    counted in C, looping in Python over the smaller side only, and each
+    distinct product becomes a tuple once.  Bytes hold degrees below 256."""
     if a.n != b.n:
         raise DegreeMismatchError(f"degrees differ: {a.n} vs {b.n}")
-    sigmas_of = {}
+    tables, words = defaultdict(list), defaultdict(list)
     for sigma, c in a.terms.items():
-        sigmas_of.setdefault(c, []).append((0, *sigma))
+        tables[c].append(bytes((0, *sigma)).ljust(256, b"\0"))
+    for tau, c in b.terms.items():
+        words[c].append(bytes(tau))
     counts = defaultdict(Counter)
-    for tau, c2 in b.terms.items():
-        # below degree 2 tau is the identity and itemgetter(*tau) gives no tuple
-        compose_tau = itemgetter(*tau) if a.n > 1 else itemgetter(slice(1, None))
-        for c1, sigmas in sigmas_of.items():
-            counts[c1 * c2].update(map(compose_tau, sigmas))
+    for c1, sigmas in tables.items():
+        for c2, taus in words.items():
+            count = counts[c1 * c2]
+            if len(sigmas) < len(taus):
+                for table in sigmas:
+                    count.update(map(bytes.translate, taus, repeat(table)))
+            else:
+                for tau in taus:
+                    count.update(map(tau.translate, sigmas))
     out = Counter()
     for weight, products in counts.items():
-        out.update({sigma: weight * k for sigma, k in products.items()})
-    return GroupAlgebraElement._of(a.n, canonical(out))
+        out.update({product: weight * k for product, k in products.items()})
+    return GroupAlgebraElement._of(a.n, canonical({tuple(p): c for p, c in out.items()}))
 
 
 def descent_span_coordinates(a: GroupAlgebraElement):

@@ -38,8 +38,9 @@ class NotInDescentSpanError(NcsfError):
 
 class ResourceLimitError(NcsfError):
     """A job would exceed a resource bound: a degree above the configured
-    group-algebra bound, or a chain count through more shapes than the fixed
-    bound of ``tableaux._count_chains``."""
+    group-algebra bound, a chain count through more shapes than the fixed
+    bound of ``tableaux._count_chains``, or a ``tableaux --list`` of more
+    tableaux than the command line prints."""
 
 
 class InternalConsistencyError(NcsfError):

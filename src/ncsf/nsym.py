@@ -5,39 +5,39 @@ homogeneous ``H``, ribbon ``R``, noncommutative Schur ``S``, and Young
 noncommutative Schur ``YS``.  The space is the ``NSYM`` record of the
 graded-space core (``_linear``), with hub basis ``R``, the dual of QSym's
 hub ``F`` under the pairing <F_alpha, R_beta> = delta_{alpha beta}; the
-per-degree matrices built here are cached:
+rows built here are cached:
 
 * H, S and YS are dual to QSym's M, QS and YQS.  For such a basis b with
   dual b*, the R_beta coordinate of b_alpha is <F_beta, b_alpha>, the
   b*_alpha coordinate of F_beta: b -> R is QSym's F -> b* transposed, and
-  R -> b is b* -> F transposed.
+  R -> b is b* -> F transposed.  Row alpha of H -> R is built directly, the
+  coarsenings of alpha (its mask's submasks), signed for R -> H.
 * E_alpha is the sum of R_beta over the beta refining alpha^c, the
   composition of n whose cut set is the complement of alpha's; in canonical
-  order alpha^c sits at alpha's position counted from the end.  So E -> R
-  is F -> M with row alpha moved to alpha^c, and R -> E, its Moebius
-  inverse, is M -> F with column gamma moved to gamma^c: R_beta is the sum
-  of (-1)^(len(beta^c) - len(gamma)) E_gamma over the coarsenings gamma of
-  beta^c.
+  order alpha^c sits at alpha's position counted from the end.  So row
+  alpha of E -> R is row alpha^c of QSym's F -> M, and R -> E, its Moebius
+  inverse, is M -> F with column gamma moved to gamma^c: row beta is row
+  beta^c of R -> H.
 
 The dual pairing with quasisymmetric functions and the forgetful map onto
 Sym live here as well.
 """
 
 from fractions import Fraction
-from functools import cache
 from operator import add
 
-from ._linear import Element, Space, convert, dense_rows, multiply
+from ._linear import Element, Space, convert, dense_rows, multiply, served
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     check_composition,
     composition_index,
     compositions_of,
     reversal,
+    submasks,
     underlying_partition,
 )
-from .linalg import Matrix, from_rows, transpose
-from .qsym import QSYM, QSymElement, qsym_convert
+from .linalg import transpose
+from .qsym import QSYM, QSymElement, boolean_row, qsym_convert
 from .sym import SymElement
 
 __all__ = [
@@ -55,28 +55,31 @@ __all__ = [
 
 NSYM_BASES = ("E", "H", "R", "S", "YS")
 
-# the QSym basis dual to each NSym basis but E and the hub
-_QSYM_DUAL = {"H": "M", "S": "QS", "YS": "YQS"}
+# the QSym basis dual to S and YS
+_QSYM_DUAL = {"S": "QS", "YS": "YQS"}
 
 
-@cache
-def _to_r_matrix(basis: str, n: int) -> Matrix:
-    if basis == "E":  # row alpha is row alpha^c of F -> M
-        return Matrix(QSYM.from_hub("M", n).rows[::-1])
-    return transpose(QSYM.from_hub(_QSYM_DUAL[basis], n))
-
-
-@cache
-def _from_r_matrix(basis: str, n: int) -> Matrix:
-    if basis == "E":  # M -> F with column gamma moved to gamma^c
+def _to_r_rows(basis: str, n: int) -> tuple:
+    if basis == "H":
+        return 1, lambda a: boolean_row(a, submasks(a), False)
+    if basis == "E":
         last = len(compositions_of(n)) - 1
-        return from_rows({last - j: x for j, x in zip(*row)} for row in QSYM.to_hub("M", n).rows)
-    return transpose(QSYM.to_hub(_QSYM_DUAL[basis], n))
+        return 1, lambda a: QSYM.from_hub("M", n)[last ^ a]
+    return served(transpose(_transition_matrix(QSYM, "F", _QSYM_DUAL[basis], n)))
+
+
+def _from_r_rows(basis: str, n: int) -> tuple:
+    if basis == "H":
+        return 1, lambda a: boolean_row(a, submasks(a), True)
+    if basis == "E":
+        last = len(compositions_of(n)) - 1
+        return 1, lambda b: NSYM.from_hub("H", n)[last ^ b]
+    return served(transpose(_transition_matrix(QSYM, _QSYM_DUAL[basis], "F", n)))
 
 
 NSYM = Space(
     "NSym", NSYM_BASES, "R", check_composition, compositions_of, composition_index,
-    _to_r_matrix, _from_r_matrix,
+    _to_r_rows, _from_r_rows,
 )
 
 

@@ -3,14 +3,15 @@
 Composition-indexed bases: monomial ``M``, fundamental ``F``, quasisymmetric
 Schur ``QS``, and Young quasisymmetric Schur ``YQS``.  The space is the
 ``QSYM`` record of the graded-space core (``_linear``), with hub basis
-``F``; the per-degree matrices built here are cached:
+``F``; the rows built here are cached:
 
 * F -> M is the refinement sum F_alpha = sum over beta refining alpha of
   M_beta; M -> F is its Moebius inverse, the same sum with the sign
-  (-1)^(len(beta) - len(alpha));
+  (-1)^(len(beta) - len(alpha)); a row is built directly from the supersets
+  of alpha's cut mask, its canonical position;
 * YQS -> F has the SYCT counts: the (alpha, beta) entry counts SYCTs of
   shape alpha with descent composition beta, found by counting chains in
-  the composition poset (``tableaux.dhat_rows``);
+  the composition poset (``tableaux.dhat_rows``), a whole matrix;
 * QS -> F is the same with both indices reversed;
 * F -> QS and F -> YQS invert those integer matrices by substitution: they
   are unitriangular in a suitable order of the compositions.
@@ -21,7 +22,7 @@ and its partial inverse ``symmetric_part``.
 
 from functools import cache
 
-from ._linear import Element, Space, convert, dense_rows, matrix_of
+from ._linear import Element, Space, convert, dense_rows, served
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     Composition,
@@ -30,11 +31,11 @@ from .compositions import (
     check_partition,
     composition_index,
     compositions_of,
-    refinements,
     reversal,
+    submasks,
     underlying_partition,
 )
-from .linalg import Matrix, from_rows, identity, invert_unitriangular
+from .linalg import from_rows, identity, invert_unitriangular
 from .sym import SymElement, sym_convert
 from .tableaux import dhat_rows
 
@@ -70,34 +71,39 @@ def _rearrangements(n: int) -> dict:
     return {lam: tuple(group) for lam, group in groups.items()}
 
 
-@cache
-def _to_f_matrix(basis: str, n: int) -> Matrix:
+def boolean_row(mask: int, cols: list, signed: bool) -> tuple:
+    """Row ``mask`` over the masks ``cols`` of a Boolean-lattice zeta matrix
+    (entries 1) or, ``signed``, of its Moebius inverse ((-1)^|mask ^ col|)."""
+    return tuple(cols), tuple(-1 if signed and (mask ^ col).bit_count() & 1 else 1 for col in cols)
+
+
+def _refinement_rows(n: int, signed: bool):
+    """Row alpha of F -> M, or ``signed`` of M -> F: its mask's supersets."""
+    free = len(compositions_of(n)) - 1
+    return lambda a: boolean_row(a, [a | sub for sub in submasks(free ^ a)], signed)
+
+
+def _to_f_rows(basis: str, n: int) -> tuple:
     if basis == "M":
-        rows = (
-            {beta: -1 if (len(beta) - len(alpha)) % 2 else 1 for beta in refinements(alpha)}
-            for alpha in compositions_of(n)
-        )
-        return matrix_of(rows, composition_index(n))
+        return 1, _refinement_rows(n, True)
     if basis == "YQS":
-        return dhat_rows(n) if n else identity(1)
+        return served(dhat_rows(n) if n else identity(1))
     # QS: the YQS matrix with both indices reversed
     index = composition_index(n)
-    yqs = _to_f_matrix("YQS", n).rows
+    yqs = _transition_matrix(QSYM, "YQS", "F", n).rows
     reversed_at = [index[reversal(alpha)] for alpha in compositions_of(n)]
-    return from_rows({reversed_at[b]: x for b, x in zip(*yqs[a])} for a in reversed_at)
+    return served(from_rows({reversed_at[b]: x for b, x in zip(*yqs[a])} for a in reversed_at))
 
 
-@cache
-def _from_f_matrix(basis: str, n: int) -> Matrix:
+def _from_f_rows(basis: str, n: int) -> tuple:
     if basis == "M":
-        rows = (dict.fromkeys(refinements(alpha), 1) for alpha in compositions_of(n))
-        return matrix_of(rows, composition_index(n))
-    return invert_unitriangular(_to_f_matrix(basis, n))
+        return 1, _refinement_rows(n, False)
+    return served(invert_unitriangular(_transition_matrix(QSYM, basis, "F", n)))
 
 
 QSYM = Space(
     "QSym", QSYM_BASES, "F", check_composition, compositions_of, composition_index,
-    _to_f_matrix, _from_f_matrix,
+    _to_f_rows, _from_f_rows,
 )
 
 

@@ -4,33 +4,32 @@ Elements are sparse rational combinations of partition-indexed basis
 elements in one of five bases: elementary ``e``, complete homogeneous
 ``h``, power sum ``p``, monomial ``m``, and Schur ``s``.  The space is the
 ``SYM`` record of the graded-space core (``_linear``), with hub basis
-``h``; conversions and transition matrices are the core's, applied to the
-per-degree matrices built here once and cached:
+``h``; conversions and transition matrices are the core's, reading the
+rows built here once and cached.  Row lam is built directly for
 
-* e <-> h by the alternating sums over compositions of each part,
-* p <-> h by the Newton recurrences r*h_r = sum_k p_k h_{r-k},
-* s -> h by the Jacobi-Trudi determinant, h -> s by inverting it by
-  substitution (it is unitriangular in dominance order),
-* m <-> h by Hall duality: h and m are dual bases and the Schur functions
-  are orthonormal, so m in s is s in h transposed and s in m is h in s
-  transposed; m -> h is (s -> h)^T (s -> h) and h -> m is (h -> s)(h -> s)^T.
+* e <-> h and p <-> h, the product over the parts r of lam of e_r in h
+  (an alternating sum over compositions), p_r in h (the Newton recurrence
+  r*h_r = sum_k p_k h_{r-k}) or h_r = sum over mu of p_mu / z_mu in p,
+* s -> h, the Jacobi-Trudi determinant;
 
-Only the h -> p matrix has entries that are not integers.
+the other hops are whole matrices: h -> s inverts s -> h by substitution
+(it is unitriangular in dominance order), and m <-> h is Hall duality: h
+and m are dual bases and the Schur functions are orthonormal, so m in s is
+s in h transposed and s in m is h in s transposed; m -> h is
+(s -> h)^T (s -> h) and h -> m is (h -> s)(h -> s)^T.
+
+Only the h -> p rows have entries that are not integers: r! h_r has
+integer p coordinates, so they are stored over n!, the least denominator.
 """
 
-from fractions import Fraction
 from functools import cache
+from math import factorial, prod
 
-from ._linear import Element, Space, convert, dense_rows, matrix_of, multiply, product_terms
+from ._linear import Element, Space, convert, dense_rows, multiply, product_terms
+from ._linear import served, stored_row
 from ._linear import transition_matrix as _transition_matrix
-from .compositions import (
-    Partition,
-    check_partition,
-    compositions_of,
-    partition_index,
-    partitions_of,
-)
-from .linalg import Matrix, invert_unitriangular, matmul, transpose
+from .compositions import Partition, check_partition, partition_index, partitions_of, z_stat
+from .linalg import invert_unitriangular, matmul, transpose
 
 __all__ = [
     "SYM_BASES",
@@ -50,24 +49,16 @@ def _merge(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
 
 
-def _product_row(factors) -> dict:
-    """Product of expansions over a multiplicative partition-indexed basis."""
-    row = {(): 1}
-    for factor in factors:
-        row = product_terms(row, factor, _merge)
-    return row
-
-
 @cache
 def _alternating_row(r: int) -> dict:
     """sum over compositions beta of r of (-1)^(len(beta)-r), collected by
-    underlying partition.  Expands e_r in h, and equally h_r in e."""
+    underlying partition lam, which len(lam)!/prod_i m_i(lam)! of them
+    share.  Expands e_r in h, and equally h_r in e."""
     out = {}
-    for beta in compositions_of(r):
-        idx = tuple(sorted(beta, reverse=True))
-        sign = -1 if (len(beta) - r) % 2 else 1
-        out[idx] = out.get(idx, 0) + sign
-    return {k: v for k, v in out.items() if v}
+    for lam in partitions_of(r):
+        count = factorial(len(lam)) // prod(factorial(lam.count(part)) for part in set(lam))
+        out[lam] = -count if (len(lam) - r) % 2 else count
+    return out
 
 
 @cache
@@ -85,18 +76,10 @@ def _p_in_h(r: int) -> dict:
 
 @cache
 def _h_in_p(r: int) -> dict:
-    """h_r = (1/r) sum_{k=1..r} p_k h_{r-k}."""
-    if r == 0:
-        return {(): Fraction(1)}
-    out = {}
-    for k in range(1, r + 1):
-        for idx, c in _h_in_p(r - k).items():
-            midx = _merge(idx, (k,))
-            out[midx] = out.get(midx, Fraction(0)) + Fraction(c, r)
-    return {k: v for k, v in out.items() if v}
+    """r! h_r = sum over the partitions mu of r of (r!/z_mu) p_mu."""
+    return {mu: factorial(r) // z_stat(mu) for mu in partitions_of(r)}
 
 
-@cache
 def _jacobi_trudi_h(lam: Partition) -> dict:
     """det(h_{lam_i - i + j}) expanded as a signed sum over the permutations
     whose every h index is nonnegative, h-indexed.  Rows are assigned
@@ -122,39 +105,47 @@ def _jacobi_trudi_h(lam: Partition) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _multiplicative(generator_row, n: int) -> Matrix:
-    """Row lam: the product over the parts r of lam of ``generator_row(r)``."""
-    rows = (_product_row(map(generator_row, lam)) for lam in partitions_of(n))
-    return matrix_of(rows, partition_index(n))
+def _multiplicative(generator_row, n: int, scale=lambda lam: 1):
+    """The builder of row lam: ``scale(lam)`` times the product over the
+    parts r of lam of ``generator_row(r)``."""
+    parts, index = partitions_of(n), partition_index(n)
+
+    def row(i):
+        terms = {(): 1}
+        for r in parts[i]:
+            terms = product_terms(terms, generator_row(r), _merge)
+        return stored_row(terms, index, scale(parts[i]))
+
+    return row
 
 
-@cache
-def _to_h_matrix(basis: str, n: int) -> Matrix:
+def _to_h_rows(basis: str, n: int) -> tuple:
     if basis == "e":
-        return _multiplicative(_alternating_row, n)
+        return 1, _multiplicative(_alternating_row, n)
     if basis == "p":
-        return _multiplicative(_p_in_h, n)
+        return 1, _multiplicative(_p_in_h, n)
     if basis == "s":
-        return matrix_of(map(_jacobi_trudi_h, partitions_of(n)), partition_index(n))
-    s_in_h = _to_h_matrix("s", n)
-    return matmul(transpose(s_in_h), s_in_h)  # m in s, then s in h
+        parts, index = partitions_of(n), partition_index(n)
+        return 1, lambda i: stored_row(_jacobi_trudi_h(parts[i]), index)
+    s_in_h = _transition_matrix(SYM, "s", "h", n)
+    return served(matmul(transpose(s_in_h), s_in_h))  # m in s, then s in h
 
 
-@cache
-def _from_h_matrix(basis: str, n: int) -> Matrix:
+def _from_h_rows(basis: str, n: int) -> tuple:
     if basis == "e":
-        return _to_h_matrix("e", n)
-    if basis == "p":
-        return _multiplicative(_h_in_p, n)
+        return 1, SYM.to_hub("e", n).__getitem__
+    if basis == "p":  # n! h_lam = (n!/prod_i lam_i!) prod_i (lam_i! h_lam_i)
+        scale = lambda lam: factorial(n) // prod(map(factorial, lam))
+        return factorial(n), _multiplicative(_h_in_p, n, scale)
     if basis == "s":
-        return invert_unitriangular(_to_h_matrix("s", n))
-    h_in_s = _from_h_matrix("s", n)
-    return matmul(h_in_s, transpose(h_in_s))  # h in s, then s in m
+        return served(invert_unitriangular(_transition_matrix(SYM, "s", "h", n)))
+    h_in_s = _transition_matrix(SYM, "h", "s", n)
+    return served(matmul(h_in_s, transpose(h_in_s)))  # h in s, then s in m
 
 
 SYM = Space(
     "Sym", SYM_BASES, "h", check_partition, partitions_of, partition_index,
-    _to_h_matrix, _from_h_matrix,
+    _to_h_rows, _from_h_rows,
 )
 
 

@@ -25,7 +25,11 @@ library's sparse integer matrices.  NSym's transition matrices are
 checked against the builders it used when ``H`` was its hub: sums over
 refinements and coarsenings, and Gauss-Jordan inverses and products with
 the ribbon expansions of S and YS.  Sym's product is checked against the
-product taken in the power sums.
+product taken in the power sums.  Every row the spaces build is checked
+against the whole-matrix builders they used before rows were built one at
+a time (``WHOLE_MATRIX_BUILDERS``): Sym's products over compositions and
+Newton recurrences in Fraction arithmetic, QSym's sums over refinements,
+and NSym's transposes and moved rows of QSym's matrices.
 """
 
 from collections import Counter
@@ -46,13 +50,12 @@ from ncsf import (
     young_character,
     z_stat,
 )
-from ncsf import linalg
-from ncsf._linear import dense_rows, matrix_of
-from ncsf.compositions import composition_index, refinements
+from ncsf import linalg, sym
+from ncsf._linear import dense_rows
+from ncsf.compositions import composition_index, partition_index, refinements, reversal
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import from_rows
-from ncsf.qsym import QSYM
-from ncsf.tableaux import CompositionDiagram
+from ncsf.tableaux import CompositionDiagram, dhat_rows
 
 # number of involutions in S_n for n = 1..7
 INVOLUTIONS = (1, 2, 4, 10, 26, 76, 232)
@@ -560,7 +563,12 @@ _SCHUR_DUAL = {"S": "QS", "YS": "YQS"}
 def ribbon_in_schur_matrix(basis: str, n: int):
     """Row gamma holds the ``basis`` (S or YS) coordinates of the ribbon
     element of gamma: the transposed F expansion of the dual QSym basis."""
-    return linalg.transpose(QSYM.to_hub(_SCHUR_DUAL[basis], n))
+    return linalg.transpose(qsym_to_f_matrix(_SCHUR_DUAL[basis], n))
+
+
+def matrix_of(rows, index: dict):
+    """The stored matrix of rows {index: coefficient}; ``index`` gives columns."""
+    return from_rows({index[idx]: c for idx, c in row.items()} for row in rows)
 
 
 @cache
@@ -639,3 +647,134 @@ def kostka_by_backtracking(lam, mu) -> int:
         return total
 
     return fill(0)
+
+
+def alternating_row_by_compositions(r: int) -> dict:
+    """e_r in h: the sum over all 2^(r-1) compositions beta of r of
+    (-1)^(len(beta)-r), collected by underlying partition."""
+    out = {}
+    for beta in compositions_of(r):
+        idx = tuple(sorted(beta, reverse=True))
+        sign = -1 if (len(beta) - r) % 2 else 1
+        out[idx] = out.get(idx, 0) + sign
+    return {k: v for k, v in out.items() if v}
+
+
+# The whole-matrix builders of each space, as they were before the spaces
+# built their rows one at a time: (basis, n) -> stored matrix.
+
+
+def _merge(a, b):
+    return tuple(sorted(a + b, reverse=True))
+
+
+@cache
+def _p_in_h(r: int) -> dict:
+    """p_r = r*h_r - sum_{k<r} p_k h_{r-k}."""
+    out = {(r,): r} if r else {(): 1}
+    for k in range(1, r):
+        for idx, c in _p_in_h(k).items():
+            out[_merge(idx, (r - k,))] = out.get(_merge(idx, (r - k,)), 0) - c
+    return {k: v for k, v in out.items() if v}
+
+
+@cache
+def _h_in_p(r: int) -> dict:
+    """h_r = (1/r) sum_{k=1..r} p_k h_{r-k}, in Fraction arithmetic."""
+    if r == 0:
+        return {(): Fraction(1)}
+    out = {}
+    for k in range(1, r + 1):
+        for idx, c in _h_in_p(r - k).items():
+            out[_merge(idx, (k,))] = out.get(_merge(idx, (k,)), Fraction(0)) + Fraction(c, r)
+    return {k: v for k, v in out.items() if v}
+
+
+def _multiplicative(generator_row, n: int):
+    """Row lam: the product over the parts r of lam of ``generator_row(r)``."""
+    rows = []
+    for lam in partitions_of(n):
+        row = {(): 1}
+        for r in lam:
+            out = {}
+            for i1, c1 in row.items():
+                for i2, c2 in generator_row(r).items():
+                    out[_merge(i1, i2)] = out.get(_merge(i1, i2), 0) + c1 * c2
+            row = out
+        rows.append(row)
+    return matrix_of(rows, partition_index(n))
+
+
+@cache
+def sym_to_h_matrix(basis: str, n: int):
+    if basis == "e":
+        return _multiplicative(alternating_row_by_compositions, n)
+    if basis == "p":
+        return _multiplicative(_p_in_h, n)
+    if basis == "s":
+        return matrix_of(map(sym._jacobi_trudi_h, partitions_of(n)), partition_index(n))
+    s_in_h = sym_to_h_matrix("s", n)
+    return linalg.matmul(linalg.transpose(s_in_h), s_in_h)
+
+
+@cache
+def sym_from_h_matrix(basis: str, n: int):
+    if basis == "e":
+        return sym_to_h_matrix("e", n)
+    if basis == "p":
+        return _multiplicative(_h_in_p, n)
+    if basis == "s":
+        return linalg.invert_unitriangular(sym_to_h_matrix("s", n))
+    h_in_s = sym_from_h_matrix("s", n)
+    return linalg.matmul(h_in_s, linalg.transpose(h_in_s))
+
+
+@cache
+def qsym_to_f_matrix(basis: str, n: int):
+    if basis == "M":
+        rows = (
+            {beta: -1 if (len(beta) - len(alpha)) % 2 else 1 for beta in refinements(alpha)}
+            for alpha in compositions_of(n)
+        )
+        return matrix_of(rows, composition_index(n))
+    if basis == "YQS":
+        return dhat_rows(n) if n else linalg.identity(1)
+    index = composition_index(n)
+    yqs = qsym_to_f_matrix("YQS", n).rows
+    reversed_at = [index[reversal(alpha)] for alpha in compositions_of(n)]
+    return from_rows({reversed_at[b]: x for b, x in zip(*yqs[a])} for a in reversed_at)
+
+
+@cache
+def qsym_from_f_matrix(basis: str, n: int):
+    if basis == "M":
+        rows = (dict.fromkeys(refinements(alpha), 1) for alpha in compositions_of(n))
+        return matrix_of(rows, composition_index(n))
+    return linalg.invert_unitriangular(qsym_to_f_matrix(basis, n))
+
+
+_QSYM_DUAL = {"H": "M", "S": "QS", "YS": "YQS"}
+
+
+@cache
+def nsym_to_r_matrix(basis: str, n: int):
+    if basis == "E":  # row alpha is row alpha^c of F -> M
+        return linalg.Matrix(qsym_from_f_matrix("M", n).rows[::-1])
+    return linalg.transpose(qsym_from_f_matrix(_QSYM_DUAL[basis], n))
+
+
+@cache
+def nsym_from_r_matrix(basis: str, n: int):
+    if basis == "E":  # M -> F with column gamma moved to gamma^c
+        last = len(compositions_of(n)) - 1
+        rows = qsym_to_f_matrix("M", n).rows
+        return from_rows({last - j: x for j, x in zip(*row)} for row in rows)
+    return linalg.transpose(qsym_to_f_matrix(_QSYM_DUAL[basis], n))
+
+
+# space name -> (to-hub builder, from-hub builder)
+WHOLE_MATRIX_BUILDERS = {
+    "Sym": (sym_to_h_matrix, sym_from_h_matrix),
+    "QSym": (qsym_to_f_matrix, qsym_from_f_matrix),
+    "NSym": (nsym_to_r_matrix, nsym_from_r_matrix),
+}

@@ -219,6 +219,17 @@ def test_tableaux_count_refuses_a_shape_with_too_many_shapes_below(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_tableaux_list_refuses_a_shape_with_too_many_tableaux(capsys):
+    code, out, _ = run_cli(capsys, "tableaux", "syt", "--shape", "4,4,4,4", "--list")
+    assert code == 0 and len(json.loads(out)) == 24_024
+    start = time.perf_counter()
+    for kind in ("syt", "syct"):
+        code, out, err = run_cli(capsys, "tableaux", kind, "--shape", "6,6,6,6", "--list")
+        assert (code, out) == (2, "")
+        assert err.startswith("ncsf: ") and "140229804 tableaux" in err
+    assert time.perf_counter() - start < 1
+
+
 def test_char_young(capsys):
     code, out, _ = run_cli(capsys, "char", "--young", "2,1")
     assert code == 0

@@ -21,7 +21,7 @@ from math import gcd
 
 import pytest
 
-from ncsf import nsym, qsym, sym
+from ncsf import sym
 from ncsf._linear import dense_rows, transition_matrix
 from ncsf.compositions import partitions_of
 from ncsf.errors import InternalConsistencyError
@@ -47,10 +47,10 @@ def _unitriangular(n):
     """Every matrix the builders invert by substitution, by name."""
     return {
         "dhat": dhat_rows(n),
-        "QS -> F": qsym._to_f_matrix("QS", n),
-        "R in S": nsym._from_r_matrix("S", n),
-        "R in YS": nsym._from_r_matrix("YS", n),
-        "s -> h": sym._to_h_matrix("s", n),
+        "QS -> F": transition_matrix(QSYM, "QS", "F", n),
+        "R in S": transition_matrix(NSYM, "R", "S", n),
+        "R in YS": transition_matrix(NSYM, "R", "YS", n),
+        "s -> h": transition_matrix(SYM, "s", "h", n),
     }
 
 
@@ -62,10 +62,10 @@ def _builders(n):
     """Every cached matrix of each space at degree n, by space and name."""
     built = {
         space.name: {
-            f"{basis} {way}": build(basis, n)
+            f"{basis} {way}": transition_matrix(space, *pair, n)
             for basis in space.bases
             if basis != space.hub
-            for way, build in (("to hub", space.to_hub), ("from hub", space.from_hub))
+            for way, pair in (("to hub", (basis, space.hub)), ("from hub", (space.hub, basis)))
         }
         for space in (SYM, QSYM, NSYM)
     }
@@ -88,15 +88,16 @@ def test_substitution_inverse_matches_gauss_jordan(n):
 @pytest.mark.parametrize("n", DEGREES)
 def test_builders_use_the_exact_inverses(n):
     for basis in ("QS", "YQS"):
-        want = invert(dense_rows(qsym._to_f_matrix(basis, n)))
-        assert dense_rows(qsym._from_f_matrix(basis, n)) == want
-    assert dense_rows(sym._from_h_matrix("s", n)) == invert(dense_rows(sym._to_h_matrix("s", n)))
+        want = invert(dense_rows(transition_matrix(QSYM, basis, "F", n)))
+        assert dense_rows(transition_matrix(QSYM, "F", basis, n)) == want
+    h_in_s, s_in_h = (transition_matrix(SYM, *pair, n) for pair in (("h", "s"), ("s", "h")))
+    assert dense_rows(h_in_s) == invert(dense_rows(s_in_h))
     for basis in ("E", "H", "S", "YS"):
-        want = invert(dense_rows(nsym._from_r_matrix(basis, n)))
-        assert dense_rows(nsym._to_r_matrix(basis, n)) == want, basis
+        want = invert(dense_rows(transition_matrix(NSYM, "R", basis, n)))
+        assert dense_rows(transition_matrix(NSYM, basis, "R", n)) == want, basis
     for basis in ("S", "YS"):
         expected = oracles.matmul(
-            invert(dense_rows(nsym._from_r_matrix(basis, n))),
+            invert(dense_rows(transition_matrix(NSYM, "R", basis, n))),
             dense_rows(oracles.nsym_to_h_matrix("R", n)),
         )
         assert dense_rows(transition_matrix(NSYM, basis, "H", n)) == expected
@@ -117,8 +118,10 @@ def _p_in_m(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_monomial_matrices_equal_the_power_sum_route(n):
     p_in_m = _p_in_m(n)
-    p_to_h, h_to_p = (dense_rows(build("p", n)) for build in (sym._to_h_matrix, sym._from_h_matrix))
-    m_to_h, h_to_m = sym._to_h_matrix("m", n), sym._from_h_matrix("m", n)
+    p_to_h, h_to_p = (
+        dense_rows(transition_matrix(SYM, *pair, n)) for pair in (("p", "h"), ("h", "p"))
+    )
+    m_to_h, h_to_m = transition_matrix(SYM, "m", "h", n), transition_matrix(SYM, "h", "m", n)
     assert _is_integer(m_to_h) and _is_integer(h_to_m)
     assert dense_rows(m_to_h) == oracles.matmul(invert(p_in_m), p_to_h)
     assert dense_rows(h_to_m) == oracles.matmul(h_to_p, p_in_m)
@@ -127,9 +130,9 @@ def test_monomial_matrices_equal_the_power_sum_route(n):
 
 @pytest.mark.parametrize("n", DEGREES)
 def test_closed_form_m_to_f_is_the_inverse_of_f_to_m(n):
-    m_to_f = qsym._to_f_matrix("M", n)
+    m_to_f = transition_matrix(QSYM, "M", "F", n)
     assert _is_integer(m_to_f)
-    assert dense_rows(m_to_f) == invert(dense_rows(qsym._from_f_matrix("M", n)))
+    assert dense_rows(m_to_f) == invert(dense_rows(transition_matrix(QSYM, "F", "M", n)))
 
 
 @pytest.mark.parametrize("n", DEGREES)

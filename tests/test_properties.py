@@ -13,14 +13,14 @@ matrix with permuted indices is its inverse, equal to the Gauss-Jordan
 one, and on any matrix it either refuses or returns the inverse.  On
 random group-algebra elements of degree at most 5: ``convolve`` and
 ``descent_span_coordinates`` equal their Fraction oracles, also where the
-weights of a product cancel, and theta of a product of contained-descent-set
-sums is the pointwise product of Young characters.  On random descent-span
-elements of degree at most 6, theta through the cached ribbon characters
-equals the Moebius sum over Young characters.  Every stored coefficient is
-an ``int`` or a ``Fraction`` with denominator above 1, whatever operation
-made it, and every result the library builds without checking equals its
-checked copy.  The examples are derandomized, so every run draws the same
-ones.
+weights of a product cancel and with either factor the shorter, and theta
+of a product of contained-descent-set sums is the pointwise product of
+Young characters.  On random descent-span elements of degree at most 6,
+theta through the cached ribbon characters equals the Moebius sum over
+Young characters.  Every stored coefficient is an ``int`` or a
+``Fraction`` with denominator above 1, whatever operation made it, and
+every result the library builds without checking equals its checked copy.
+The examples are derandomized, so every run draws the same ones.
 """
 
 from fractions import Fraction
@@ -60,6 +60,7 @@ from ncsf import (
 from ncsf._linear import _apply_matrices, _route, dense_rows, transition_matrix
 from ncsf.compositions import compositions_of, partitions_of
 from ncsf.errors import InternalConsistencyError
+from ncsf.linalg import Matrix
 from ncsf.linalg import identity as stored_identity
 from ncsf.linalg import invert_unitriangular
 from ncsf.linalg import matmul as stored_matmul
@@ -207,13 +208,16 @@ def test_route_is_the_cached_hub_matrices_and_makes_the_transition_matrix(
         route = _route(graded, source, target, n)
         assert len(route) == len(want)
         assert all(got is cached for got, cached in zip(route, want))
+        k = len(graded.indices(n))
+        stored = [Matrix(tuple(hop.rows[i] for i in range(k)), hop.den) for hop in want]
         matrix = transition_matrix(graded, source, target, n)
         if not want:
-            assert matrix == stored_identity(len(graded.indices(n)))
-        elif len(want) == 1:
-            assert matrix is want[0]
+            assert matrix == stored_identity(k)
+        elif len(want) == 1:  # the cached rows themselves, not copies
+            assert matrix == stored[0]
+            assert all(got is cached for got, cached in zip(matrix.rows, stored[0].rows))
         else:
-            assert matrix == stored_matmul(*want)
+            assert matrix == stored_matmul(*stored)
 
 
 MATRICES = settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -300,6 +304,26 @@ def test_convolve_drops_weights_that_cancel(data):
     product = convolve(a, b)
     assert product.terms == convolve_by_fractions(a, b)
     assert _stored_exactly(product.terms.values())
+
+
+@GROUP
+@given(data=st.data())
+def test_convolve_by_translation_equals_the_fraction_oracle_on_either_side(data):
+    """Terms share a few weights (int, Fraction, negative), one factor with
+    few terms and one with many, taken in both orders: the loop over the
+    smaller side runs over the left factor's tables and over the right
+    factor's words."""
+    n = data.draw(st.integers(0, TOP))
+    weights = st.sampled_from(data.draw(st.lists(scalars.filter(bool), min_size=1, max_size=3)))
+    sigmas = st.permutations(range(1, n + 1)).map(tuple)
+    few, many = (
+        GroupAlgebraElement(n, data.draw(st.dictionaries(sigmas, weights, max_size=size)))
+        for size in (2, 12)
+    )
+    for a, b in ((few, many), (many, few)):
+        product = convolve(a, b)
+        assert product.terms == convolve_by_fractions(a, b)
+        assert _stored_exactly(product.terms.values())
 
 
 @st.composite
