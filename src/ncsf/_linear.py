@@ -13,6 +13,15 @@ assembles the same rows into a stored sparse ``linalg.Matrix``.  A space
 module supplies only the row builders and its own operations; a product is
 taken in a multiplicative basis (``multiply``).
 
+Rows are applied in one place, in three steps: each degree's terms are put
+over their least common denominator (``_integers``), the ``int`` vector is
+carried through the hops (``_carry``), and each coordinate is divided once
+at the end (``_divided``).  A conversion takes the three steps in a row.  A
+product carries both factors into its multiplicative basis, multiplies
+their ``int`` coefficients pairwise, sums the products landing in one
+degree over a common denominator and carries the sum back before the one
+division: no ``Fraction`` is made between the factors and the result.
+
 An element is a frozen ``Element`` subclass that names its space; the
 subclass is its own type, so elements of different spaces never compare
 equal or add.  ``LinearCombinationOps`` gives +, -, unary - and exact
@@ -20,7 +29,8 @@ scalar multiples to any two-field element whose first field is a tag the
 operands must share: the basis here, the degree in the group algebra.
 
 Inputs are checked at the public constructors; a result the library built
-from checked terms (a conversion, sum, multiple or product) is not.
+from checked terms (a conversion, sum, multiple, product or the image of
+one of the spaces' maps) is not.
 """
 
 from dataclasses import dataclass
@@ -203,15 +213,19 @@ class Element(LinearCombinationOps):
         return not self.terms
 
 
-def _apply_matrices(terms: dict, space: Space, n: int, *matrices) -> dict:
-    """The image of ``terms`` under the stored matrices or hops in turn, as
-    one sparse ``int`` vector over one denominator, reading only the rows
-    of the support each carries; divided once per coordinate at the end,
-    in canonical order."""
-    indices, index = space.indices(n), space.index(n)
+def _integers(terms: dict, index: dict) -> tuple:
+    """``terms`` over their least common denominator: the sparse ``int``
+    vector {position: numerator} (``index`` gives positions) and ``den``."""
     # a set: a tuple made from a generator on each call kept 0.4 MB more alive
     den = lcm(*{c.denominator for c in terms.values()})
-    vector = {index[idx]: c.numerator * (den // c.denominator) for idx, c in terms.items()}
+    return {index[idx]: c.numerator * (den // c.denominator) for idx, c in terms.items()}, den
+
+
+def _carry(vector: dict, den: int, matrices) -> tuple:
+    """The image of the sparse ``int`` vector ``vector`` over ``den`` under
+    the stored matrices or hops in turn, again over one denominator,
+    reading only the rows of the support each carries; coordinates that
+    cancel are kept as zeros."""
     for matrix in matrices:
         out, rows = {}, matrix.rows
         for i, c in vector.items():
@@ -220,6 +234,12 @@ def _apply_matrices(terms: dict, space: Space, n: int, *matrices) -> dict:
                     out[j] = out.get(j, 0) + c * entry
         vector = out
         den *= matrix.den
+    return vector, den
+
+
+def _divided(vector: dict, den: int, indices) -> dict:
+    """The terms of the sparse ``int`` vector ``vector`` over ``den``,
+    divided once per coordinate, in canonical order, zeros dropped."""
     return {indices[j]: _ratio(v, den) for j, v in sorted(vector.items()) if v}
 
 
@@ -232,18 +252,27 @@ def _route(space: Space, source: str, target: str, n: int) -> list:
     return route
 
 
+def _carried(space: Space, terms: dict, source: str, target: str) -> dict:
+    """The ``source``-basis ``terms`` in ``target`` coordinates, degree by
+    degree and still undivided: {n: (sparse ``int`` vector, den)}."""
+    by_degree = {}
+    for idx, c in terms.items():
+        by_degree.setdefault(sum(idx), {})[idx] = c
+    return {
+        n: _carry(*_integers(part, space.index(n)), _route(space, source, target, n))
+        for n, part in by_degree.items()
+    }
+
+
 def convert_terms(space: Space, terms: dict, source: str, target: str) -> dict:
     """The ``target`` coordinates of the ``source``-basis ``terms``, found
     degree by degree through the hub."""
     space.check_basis(target)
     if target == source:
         return terms
-    by_degree = {}
-    for idx, c in terms.items():
-        by_degree.setdefault(sum(idx), {})[idx] = c
     converted = {}
-    for n, part in by_degree.items():
-        converted.update(_apply_matrices(part, space, n, *_route(space, source, target, n)))
+    for n, carried in _carried(space, terms, source, target).items():
+        converted.update(_divided(*carried, space.indices(n)))
     return converted
 
 
@@ -254,11 +283,47 @@ def convert(x: Element, target: str) -> Element:
     return x._of(target, convert_terms(x.space, x.terms, x.basis, target))
 
 
+def _summed(parts: list) -> tuple:
+    """The sum of sparse ``int`` vectors, each (vector, den), over the least
+    common denominator."""
+    if len(parts) == 1:
+        return parts[0]
+    den = lcm(*(d for _, d in parts))
+    out = {}
+    for vector, d in parts:
+        for k, v in vector.items():
+            out[k] = out.get(k, 0) + v * (den // d)
+    return out, den
+
+
 def multiply(x: Element, y: Element, basis: str, combine) -> Element:
     """The product of ``x`` and ``y``, taken in a multiplicative ``basis``
-    whose indices multiply by ``combine``, in the basis of ``x``."""
-    xb, yb = convert(x, basis), convert(y, basis)
-    return convert(x._of(basis, product_terms(xb.terms, yb.terms, combine)), x.basis)
+    whose indices multiply by ``combine``, in the basis of ``x``.
+
+    One ``int`` pass: each degree of each factor is carried into ``basis``
+    over one denominator, the coefficients multiply pairwise, and the
+    products landing in one degree are summed over a common denominator,
+    carried back and divided once per coordinate."""
+    space = x.space
+    left, right = (_carried(space, z.terms, z.basis, basis) for z in (x, y))
+    products = {}
+    for n1, (v1, d1) in left.items():
+        indices1 = space.indices(n1)
+        for n2, (v2, d2) in right.items():
+            indices2, index, out = space.indices(n2), space.index(n1 + n2), {}
+            pairs = [(indices2[j], b) for j, b in v2.items() if b]
+            for i, a in v1.items():
+                if a:  # a coefficient that cancelled multiplies nothing
+                    first = indices1[i]
+                    for second, b in pairs:
+                        k = index[combine(first, second)]
+                        out[k] = out.get(k, 0) + a * b
+            products.setdefault(n1 + n2, []).append((out, d1 * d2))
+    terms = {}
+    for n, parts in products.items():
+        carried = _carry(*_summed(parts), _route(space, basis, x.basis, n))
+        terms.update(_divided(*carried, space.indices(n)))
+    return x._of(x.basis, terms)
 
 
 def transition_matrix(space: Space, source: str, target: str, n: int) -> Matrix:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from ._linear import canonical
 from .compositions import (
     Composition,
     check_composition,
@@ -99,7 +100,7 @@ def class_function(n: int, values) -> ClassFunction:
 def frobenius_ch(f: ClassFunction) -> SymElement:
     """sum over cycle types mu of f(mu)/z_mu times the power sum of mu."""
     terms = {mu: Fraction(value, z_stat(mu)) for mu, value in f.values.items()}
-    return SymElement("p", terms)
+    return SymElement._of("p", canonical(terms))
 
 
 def ch_inverse(g: SymElement) -> ClassFunction:

@@ -83,7 +83,7 @@ def _cmd_expand(args) -> int:
     _check_bound(n)
     space.check_index(index)
     terms = convert_terms(space, {index: 1}, source, target)
-    payload = serialize.element_payload(args.space, target, n, terms, space.indices(n))
+    payload = serialize.element_payload(args.space, target, n, terms, space.index(n))
     print(serialize.to_json(payload))
     return 0
 

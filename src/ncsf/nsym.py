@@ -26,7 +26,7 @@ Sym live here as well.
 from fractions import Fraction
 from operator import add
 
-from ._linear import Element, Space, convert, dense_rows, multiply, served
+from ._linear import Element, Space, canonical, convert, dense_rows, multiply, served
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     check_composition,
@@ -112,7 +112,7 @@ def star_antiautomorphism(x: NSymElement) -> NSymElement:
     one indexed by the reversed composition.  Carries S elements to YS
     elements; the image is returned in the R basis."""
     r = nsym_convert(x, "R")
-    return NSymElement("R", {reversal(alpha): c for alpha, c in r.terms.items()})
+    return NSymElement._of("R", {reversal(alpha): c for alpha, c in r.terms.items()})
 
 
 def forgetful_map(x: NSymElement) -> SymElement:
@@ -123,7 +123,7 @@ def forgetful_map(x: NSymElement) -> SymElement:
     for alpha, c in xh.terms.items():
         lam = underlying_partition(alpha)
         out[lam] = out.get(lam, 0) + c
-    return SymElement("h", out)
+    return SymElement._of("h", canonical(out))
 
 
 def duality_pairing(q: QSymElement, f: NSymElement) -> int | Fraction:

@@ -130,7 +130,7 @@ def reversal_automorphism(x: QSymElement) -> QSymElement:
     """The involution F_alpha -> F_(alpha reversed); carries YQS_alpha to
     QS_(alpha reversed).  The image is returned in the F basis."""
     f = qsym_convert(x, "F")
-    return QSymElement("F", {reversal(alpha): c for alpha, c in f.terms.items()})
+    return QSymElement._of("F", {reversal(alpha): c for alpha, c in f.terms.items()})
 
 
 def symmetric_part(x: QSymElement):
@@ -142,18 +142,16 @@ def symmetric_part(x: QSymElement):
         for beta in _rearrangements(sum(lam))[lam]:
             if m.terms.get(beta, 0) != c:
                 return None
-    return SymElement("m", out)
+    return SymElement._of("m", out)
 
 
 def embed_sym_in_qsym(x: SymElement) -> QSymElement:
     """m_mu -> sum of M_alpha over compositions alpha with underlying
     partition mu, extended linearly."""
     xm = sym_convert(x, "m")
-    out = {}
-    for lam, c in xm.terms.items():
-        for alpha in _rearrangements(sum(lam))[lam]:
-            out[alpha] = out.get(alpha, 0) + c
-    return QSymElement("M", out)
+    # each composition rearranges one partition: no two terms meet
+    out = {alpha: c for lam, c in xm.terms.items() for alpha in _rearrangements(sum(lam))[lam]}
+    return QSymElement._of("M", out)
 
 
 def transition_matrix(source: str, target: str, n: int) -> tuple:

@@ -21,10 +21,10 @@ def format_coeff(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def element_payload(space: str, basis: str, degree: int, terms, order) -> dict:
-    """A sparse element as {space, basis, degree, terms}; ``order`` fixes
-    the canonical index order and zero coefficients are dropped."""
-    position = {idx: i for i, idx in enumerate(order)}
+def element_payload(space: str, basis: str, degree: int, terms, position) -> dict:
+    """A sparse element as {space, basis, degree, terms}; ``position``, the
+    space's {index: position in canonical order}, fixes the order of the
+    terms, and zero coefficients are dropped."""
     entries = sorted(terms.items(), key=lambda item: position[item[0]])
     return {
         "space": space,

@@ -14,12 +14,13 @@ refinement (the reference for cut-set inclusion), the full permutation sum
 for Jacobi-Trudi determinants, every assignment of parts to blocks (or a
 per-entry memoized count of them) for monomial coefficients of power sums,
 cut-set inclusion for the Moebius function of the refinement order,
-Fraction arithmetic over one-line tuples for the group-ring product and
-the descent-class coordinates, the Moebius inversion of those coordinates
-to contained-descent-set coordinates for theta, the signed sum of Young
-characters over the coarsenings of a composition for each ribbon
-character, coarsenings listed through ``comp_of`` subset by subset, and
-dense Fraction-generic linear algebra (Gauss-Jordan inversion, products,
+whole-element conversions and Fraction products of coefficients for the
+Sym and NSym products, Fraction arithmetic over one-line tuples for the
+group-ring product and the descent-class coordinates, the Moebius
+inversion of those coordinates to contained-descent-set coordinates for
+theta, the signed sum of Young characters over the coarsenings of a
+composition for each ribbon character, coarsenings listed through
+``comp_of`` subset by subset, and dense Fraction-generic linear algebra (Gauss-Jordan inversion, products,
 transposes and the application of a matrix to sparse terms) for the
 library's sparse integer matrices.  NSym's transition matrices are
 checked against the builders it used when ``H`` was its hub: sums over
@@ -51,7 +52,7 @@ from ncsf import (
     z_stat,
 )
 from ncsf import linalg, sym
-from ncsf._linear import dense_rows
+from ncsf._linear import convert, dense_rows
 from ncsf.compositions import composition_index, partition_index, refinements, reversal
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import from_rows
@@ -427,6 +428,21 @@ def ribbon_character_by_coarsenings(beta) -> tuple:
         for i, value in enumerate(young_character(alpha).values.values()):
             values[i] += (-1) ** (len(beta) - len(alpha)) * value.numerator
     return tuple(values)
+
+
+def multiply_by_fractions(x, y, basis: str, combine) -> dict:
+    """The terms of the product of ``x`` and ``y`` by the route products
+    took before the integer pass: both factors converted to the
+    multiplicative ``basis``, their coefficients multiplied pairwise as
+    Fractions under ``combine`` of indices, and the product converted
+    back to the basis of ``x``."""
+    out = {}
+    for a, c1 in convert(x, basis).terms.items():
+        for b, c2 in convert(y, basis).terms.items():
+            idx = combine(a, b)
+            out[idx] = out.get(idx, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    product = type(x)(basis, {k: v for k, v in out.items() if v})
+    return convert(product, x.basis).terms
 
 
 def convolve_by_fractions(a, b) -> dict:

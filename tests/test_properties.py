@@ -7,10 +7,13 @@ row of a transition matrix is the conversion of one basis element.  On
 random elements in random bases, the QSym-NSym duality pairing is linear
 in each argument, and ``star`` and the QSym reversal are involutions.  For
 every basis pair and degree at most 6, applying a stored sparse matrix to
-random terms equals applying its dense form in Fraction arithmetic.  On
-random integer matrices: the substitution inverse of a unitriangular
-matrix with permuted indices is its inverse, equal to the Gauss-Jordan
-one, and on any matrix it either refuses or returns the inverse.  On
+random terms equals applying its dense form in Fraction arithmetic, and
+the Sym and NSym products of factors in any two bases equal the product
+taken through Fraction coefficients, also with the unit, an empty factor
+and cross terms that cancel.  On random integer matrices: the
+substitution inverse of a unitriangular matrix with permuted indices is
+its inverse, equal to the Gauss-Jordan one, and on any matrix it either
+refuses or returns the inverse.  On
 random group-algebra elements of degree at most 5: ``convolve`` and
 ``descent_span_coordinates`` equal their Fraction oracles, also where the
 weights of a product cancel and with either factor the shorter, and theta
@@ -19,11 +22,13 @@ Young characters.  On random descent-span elements of degree at most 6,
 theta through the cached ribbon characters equals the Moebius sum over
 Young characters.  Every stored coefficient is an ``int`` or a
 ``Fraction`` with denominator above 1, whatever operation made it, and
-every result the library builds without checking equals its checked copy.
+every result the library builds without checking, the images of the
+maps between and within the spaces included, equals its checked copy.
 The examples are derandomized, so every run draws the same ones.
 """
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -45,19 +50,23 @@ from ncsf import (
     delta,
     descent_span_coordinates,
     duality_pairing,
+    embed_sym_in_qsym,
+    forgetful_map,
+    frobenius_ch,
     nsym_convert,
     nsym_multiply,
     psi_inverse,
     qsym_convert,
     reversal_automorphism,
     star_antiautomorphism,
+    symmetric_part,
     sym_convert,
     sym_multiply,
     theta,
     xi,
     young_character,
 )
-from ncsf._linear import _apply_matrices, _route, dense_rows, transition_matrix
+from ncsf._linear import _carry, _divided, _integers, _route, dense_rows, transition_matrix
 from ncsf.compositions import compositions_of, partitions_of
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import Matrix
@@ -75,6 +84,7 @@ from oracles import (
     identity,
     invert,
     matmul,
+    multiply_by_fractions,
     stored,
     theta_by_mobius,
 )
@@ -173,6 +183,12 @@ def test_transition_matrix_rows_are_conversions(space, source, target):
 
 
 KERNEL = settings(derandomize=True, deadline=None, max_examples=5, database=None)
+
+
+def _apply_matrices(terms: dict, space, n: int, *matrices) -> dict:
+    """The row kernel's three steps: degree-n ``terms`` over one
+    denominator, carried through the matrices, divided once at the end."""
+    return _divided(*_carry(*_integers(terms, space.index(n)), matrices), space.indices(n))
 
 
 @pytest.mark.parametrize("space,source,target", PAIRS)
@@ -342,6 +358,53 @@ def test_theta_equals_the_mobius_sum_over_young_characters(data):
     assert theta(d) == theta_by_mobius(d)
 
 
+# space -> (product, multiplicative basis, product of its indices)
+PRODUCTS = {
+    "nsym": (nsym_multiply, "H", add),
+    "sym": (sym_multiply, "h", lambda a, b: tuple(sorted(a + b, reverse=True))),
+}
+
+PRODUCT_PAIRS = [
+    (space, left, right)
+    for space in PRODUCTS
+    for left in SPACES[space][3]
+    for right in SPACES[space][3]
+]
+
+
+@pytest.mark.parametrize("space,left,right", PRODUCT_PAIRS)
+@KERNEL
+@given(data=st.data())
+def test_products_equal_the_fraction_oracle(space, left, right, data):
+    """Factors of mixed degree at most 3, so products of degree at most 6,
+    with the unit and empty factors; in (x + c)(x - c) the cross terms cx
+    and -xc meet from the degree pairs (0, n) and (n, 0) and cancel."""
+    cls, convert, _, _, of_degree = SPACES[space]
+    multiply, basis, combine = PRODUCTS[space]
+    indices = st.sampled_from([idx for n in range(4) for idx in of_degree(n)])
+    x = cls(left, data.draw(st.dictionaries(indices, scalars, max_size=4)))
+    y = cls(right, data.draw(st.dictionaries(indices, scalars, max_size=4)))
+    c = data.draw(scalars)
+    unit = {(): 1}
+    pairs = [
+        (x, y),
+        (y, x),
+        (x, cls(right, {})),
+        (cls(left, {}), y),
+        (x, cls(right, unit)),
+        (cls(left, unit), y),
+        (x + cls(left, {(): c}), convert(x, right) - cls(right, {(): c})),
+    ]
+    for a, b in pairs:
+        product = multiply(a, b)
+        assert type(product) is cls and product.basis == a.basis
+        assert product.terms == multiply_by_fractions(a, b, basis, combine)
+        assert _stored_exactly(product.terms.values())
+    assert multiply(x, cls(right, unit)) == x
+    assert multiply(cls(left, unit), y) == convert(y, left)
+    assert multiply(x, cls(right, {})).is_zero()
+
+
 def _stored_exactly(values) -> bool:
     return all(
         type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values
@@ -380,7 +443,12 @@ def test_results_built_unchecked_equal_their_checked_copies(data):
         x, y = (cls(source, data.draw(MIXED_TERMS[space])) for _ in range(2))
         built += [convert(x, target), x + y, x - y, -x, x * c, c * x]
         if space != "qsym":
-            built.append((nsym_multiply if space == "nsym" else sym_multiply)(x, y))
+            built.append(PRODUCTS[space][0](x, y))
+    x, y, z = (_element(data, space) for space in ("nsym", "qsym", "sym"))
+    built += [star_antiautomorphism(x), forgetful_map(x), reversal_automorphism(y)]
+    built += [embed_sym_in_qsym(z), symmetric_part(embed_sym_in_qsym(z))]
+    if symmetric_part(y) is not None:
+        built.append(symmetric_part(y))
     n = data.draw(st.integers(0, TOP))
     a, b = data.draw(group_elements(n)), data.draw(group_elements(n))
     alpha = data.draw(st.sampled_from(compositions_of(n)))
@@ -388,6 +456,8 @@ def test_results_built_unchecked_equal_their_checked_copies(data):
     f = NSymElement(basis, {beta: data.draw(scalars) for beta in compositions_of(n)})
     built += [a + b, a - b, -a, a * c, c * a, convolve(a, b), xi(alpha), delta(alpha)]
     built.append(psi_inverse(f))
+    values = {mu: data.draw(scalars) for mu in partitions_of(n)}
+    built.append(frobenius_ch(ClassFunction(n, values)))
     for z in built:
         checked = type(z)(getattr(z, z._TAG), dict(z.terms))
         assert z.terms == checked.terms
