@@ -10,17 +10,19 @@ basis ``b``, built on first read and kept; ``from_hub(b, n)`` holds the
 matrix takes the one route ``_route`` gives, through the hub: a conversion
 reads only the rows of the support it carries, and ``transition_matrix``
 assembles the same rows into a stored sparse ``linalg.Matrix``.  A space
-module supplies only the row builders and its own operations; a product is
-taken in a multiplicative basis (``multiply``).
+module supplies only the row builders and its own operations, among
+them the product rules of its bases (``multiply``).
 
 Rows are applied in one place, in three steps: each degree's terms are put
 over their least common denominator (``_integers``), the ``int`` vector is
 carried through the hops (``_carry``), and each coordinate is divided once
 at the end (``_divided``).  A conversion takes the three steps in a row.  A
-product carries both factors into its multiplicative basis, multiplies
-their ``int`` coefficients pairwise, sums the products landing in one
-degree over a common denominator and carries the sum back before the one
-division: no ``Fraction`` is made between the factors and the result.
+product is taken in the left factor's basis when that basis has a rule of
+its own, else in the hub: both factors are carried into that basis, the
+rule multiplies their ``int`` vectors on canonical positions, and the
+products landing in one degree are summed over a common denominator and
+carried back before the one division: no ``Fraction`` is made between the
+factors and the result.
 
 An element is a frozen ``Element`` subclass that names its space; the
 subclass is its own type, so elements of different spaces never compare
@@ -296,28 +298,41 @@ def _summed(parts: list) -> tuple:
     return out, den
 
 
-def multiply(x: Element, y: Element, basis: str, combine) -> Element:
-    """The product of ``x`` and ``y``, taken in a multiplicative ``basis``
-    whose indices multiply by ``combine``, in the basis of ``x``.
+def _nonzero(carried: dict) -> list:
+    """(n, vector, den) for each degree n of ``carried``, without the
+    coordinates that cancelled on the way: they multiply nothing."""
+    return [(n, {k: c for k, c in v.items() if c}, d) for n, (v, d) in carried.items()]
 
-    One ``int`` pass: each degree of each factor is carried into ``basis``
-    over one denominator, the coefficients multiply pairwise, and the
+
+def _scaled(vector: dict, c: int) -> dict:
+    return {k: c * v for k, v in vector.items()}
+
+
+def multiply(x: Element, y: Element, rules: dict) -> Element:
+    """The product of ``x`` and ``y``, in the basis of ``x``.
+
+    ``rules`` maps each basis with a product rule of its own to the rule:
+    ``rule(n1, n2, v1, v2)`` is the product of the sparse ``int`` vectors
+    ``v1`` and ``v2`` of degrees n1, n2 >= 1, on canonical positions, as a
+    degree-(n1 + n2) vector.  The product is taken in the basis of ``x``
+    when it has a rule and in the hub otherwise; the degree-0 unit needs
+    no rule.
+
+    One ``int`` pass: each degree of each factor is carried into that
+    basis over one denominator, the rule multiplies the vectors, and the
     products landing in one degree are summed over a common denominator,
     carried back and divided once per coordinate."""
     space = x.space
-    left, right = (_carried(space, z.terms, z.basis, basis) for z in (x, y))
+    basis = x.basis if x.basis in rules else space.hub
+    rule = rules[basis]
+    left, right = (_nonzero(_carried(space, z.terms, z.basis, basis)) for z in (x, y))
     products = {}
-    for n1, (v1, d1) in left.items():
-        indices1 = space.indices(n1)
-        for n2, (v2, d2) in right.items():
-            indices2, index, out = space.indices(n2), space.index(n1 + n2), {}
-            pairs = [(indices2[j], b) for j, b in v2.items() if b]
-            for i, a in v1.items():
-                if a:  # a coefficient that cancelled multiplies nothing
-                    first = indices1[i]
-                    for second, b in pairs:
-                        k = index[combine(first, second)]
-                        out[k] = out.get(k, 0) + a * b
+    for n1, v1, d1 in left:
+        for n2, v2, d2 in right:
+            if n1 and n2:
+                out = rule(n1, n2, v1, v2)
+            else:  # the unit () sits at position 0 of degree 0
+                out = _scaled(v2, v1.get(0, 0)) if n2 else _scaled(v1, v2.get(0, 0))
             products.setdefault(n1 + n2, []).append((out, d1 * d2))
     terms = {}
     for n, parts in products.items():

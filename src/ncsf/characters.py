@@ -238,8 +238,9 @@ def character_checks(n: int):
             got = theta(noncommutative_character(alpha, family))
             want = irreducible_character(underlying_partition(alpha))
             name = f"noncommutative-character/{family}/{format_composition(alpha)}"
-            witness = "" if got == want else f"theta image {got.values} != {want.values}"
-            yield Check(name, got == want, witness)
+            passed = got == want
+            witness = "" if passed else f"theta image {got.values} != {want.values}"
+            yield Check(name, passed, witness)
 
 
 def square_checks(n: int):

@@ -28,6 +28,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, permutations, repeat
+from operator import gt
 
 from ._linear import LinearCombinationOps, canonical, normalize_terms
 from .compositions import (
@@ -141,10 +142,15 @@ def descent_classes(n: int) -> dict[tuple[int, ...], tuple[Permutation, ...]]:
 
 @cache
 def _descent_classes(n: int) -> dict[tuple[int, ...], tuple[Permutation, ...]]:
-    classes: dict[tuple[int, ...], list[Permutation]] = {}
+    """Each permutation is keyed by its descent flags sigma(i) > sigma(i+1),
+    found in C, and each key becomes its descent set once per class."""
+    classes: dict[tuple[bool, ...], list[Permutation]] = {}
     for sigma in permutations(range(1, n + 1)):
-        classes.setdefault(descent_set_perm(sigma), []).append(sigma)
-    return {key: tuple(value) for key, value in classes.items()}
+        classes.setdefault(tuple(map(gt, sigma, sigma[1:])), []).append(sigma)
+    return {
+        tuple(i for i, flag in enumerate(key, 1) if flag): tuple(value)
+        for key, value in classes.items()
+    }
 
 
 descent_classes.cache_info = _descent_classes.cache_info
@@ -184,13 +190,23 @@ def _cut_points(alpha: Composition) -> tuple[int, ...]:
     return tuple(accumulate(alpha))[:-1] if alpha else ()
 
 
+@cache
+def _composition_classes(n: int) -> dict[Composition, tuple[Permutation, ...]]:
+    """The descent classes of degree ``n`` keyed by composition: the class
+    of alpha is that of its cut set.  Read it after ``descent_classes(n)``,
+    which checks the degree bound."""
+    classes = _descent_classes(n)
+    return {alpha: classes[_cut_points(alpha)] for alpha in compositions_of(n)}
+
+
 def _of_classes(n: int, coords: dict) -> GroupAlgebraElement:
     """The element of degree ``n`` whose coordinate over the class sum of
     each composition is given by ``coords`` (canonical, built from checked
     ones); it carries ``coords`` for ``psi``."""
-    classes = descent_classes(n)
+    descent_classes(n)  # the degree guard; builds the classes on a first call
+    classes = _composition_classes(n)
     # distinct compositions have disjoint descent classes
-    terms = {sigma: c for alpha, c in coords.items() for sigma in classes[_cut_points(alpha)]}
+    terms = {sigma: c for alpha, c in coords.items() for sigma in classes[alpha]}
     x = GroupAlgebraElement._of(n, terms)
     object.__setattr__(x, "_coords", coords)
     return x
@@ -246,10 +262,10 @@ def descent_span_coordinates(a: GroupAlgebraElement):
     if some descent class does not carry a constant coefficient; found by
     scanning every permutation of S_n."""
     coords = {}
-    classes = descent_classes(a.n)
-    for alpha in compositions_of(a.n):
+    descent_classes(a.n)  # the degree guard; builds the classes on a first call
+    for alpha, sigmas in _composition_classes(a.n).items():
         # a permutation without a term reads None; zeros are never stored
-        values = set(map(a.terms.get, classes[_cut_points(alpha)]))
+        values = set(map(a.terms.get, sigmas))
         if len(values) > 1:
             return None
         value = values.pop()

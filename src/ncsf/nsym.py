@@ -19,23 +19,20 @@ rows built here are cached:
   inverse, is M -> F with column gamma moved to gamma^c: row beta is row
   beta^c of R -> H.
 
+A product is taken in the left factor's basis when that basis has a rule
+of its own, on cut masks, the canonical positions: H and E indices
+concatenate, and R_alpha R_beta = R_(alpha.beta) + R_(alpha.beta near)
+(Gelfand et al. 1995, section 3).  S and YS products are taken in R.
+
 The dual pairing with quasisymmetric functions and the forgetful map onto
 Sym live here as well.
 """
 
 from fractions import Fraction
-from operator import add
 
 from ._linear import Element, Space, canonical, convert, dense_rows, multiply, served
 from ._linear import transition_matrix as _transition_matrix
-from .compositions import (
-    check_composition,
-    composition_index,
-    compositions_of,
-    reversal,
-    submasks,
-    underlying_partition,
-)
+from .compositions import check_composition, composition_index, compositions_of, submasks
 from .linalg import transpose
 from .qsym import QSYM, QSymElement, boolean_row, qsym_convert
 from .sym import SymElement
@@ -102,9 +99,36 @@ def nsym_convert(x: NSymElement, target: str) -> NSymElement:
     return convert(x, target)
 
 
+def _concatenated(n1: int, n2: int, v1: dict, v2: dict) -> dict:
+    """H_alpha H_beta = H_(alpha.beta), and the same for E, on cut masks:
+    alpha.beta has the mask i | 1 << (n1-1) | j << n1.  No two pairs meet."""
+    cut = 1 << (n1 - 1)
+    right = [(j << n1 | cut, b) for j, b in v2.items()]
+    return {i | k: a * b for i, a in v1.items() for k, b in right}
+
+
+def _ribbon(n1: int, n2: int, v1: dict, v2: dict) -> dict:
+    """R_alpha R_beta = R_(alpha.beta) + R_(alpha.beta near), on cut masks:
+    the near concatenation, which joins the last part of alpha to the first
+    of beta, is the concatenation without the cut bit 1 << (n1-1).  No two
+    terms meet: the cut bit tells the two kinds apart."""
+    cut, out = 1 << (n1 - 1), {}
+    right = [(j << n1, b) for j, b in v2.items()]
+    for i, a in v1.items():
+        for k, b in right:
+            out[i | k] = out[i | k | cut] = a * b
+    return out
+
+
+# the bases with a product rule of their own; S and YS multiply in the hub R
+_RULES = {"H": _concatenated, "E": _concatenated, "R": _ribbon}
+
+
 def nsym_multiply(x: NSymElement, y: NSymElement) -> NSymElement:
-    """Product in the free algebra: indices concatenate in the H basis."""
-    return multiply(x, y, "H", add)
+    """Product in the free algebra, in the basis of ``x``: H and E indices
+    concatenate, ribbons follow the ribbon rule, and S and YS products are
+    taken in R."""
+    return multiply(x, y, _RULES)
 
 
 def star_antiautomorphism(x: NSymElement) -> NSymElement:
@@ -112,7 +136,7 @@ def star_antiautomorphism(x: NSymElement) -> NSymElement:
     one indexed by the reversed composition.  Carries S elements to YS
     elements; the image is returned in the R basis."""
     r = nsym_convert(x, "R")
-    return NSymElement._of("R", {reversal(alpha): c for alpha, c in r.terms.items()})
+    return NSymElement._of("R", {alpha[::-1]: c for alpha, c in r.terms.items()})
 
 
 def forgetful_map(x: NSymElement) -> SymElement:
@@ -121,7 +145,7 @@ def forgetful_map(x: NSymElement) -> SymElement:
     xh = nsym_convert(x, "H")
     out = {}
     for alpha, c in xh.terms.items():
-        lam = underlying_partition(alpha)
+        lam = tuple(sorted(alpha, reverse=True))
         out[lam] = out.get(lam, 0) + c
     return SymElement._of("h", canonical(out))
 

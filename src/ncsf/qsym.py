@@ -130,14 +130,14 @@ def reversal_automorphism(x: QSymElement) -> QSymElement:
     """The involution F_alpha -> F_(alpha reversed); carries YQS_alpha to
     QS_(alpha reversed).  The image is returned in the F basis."""
     f = qsym_convert(x, "F")
-    return QSymElement._of("F", {reversal(alpha): c for alpha, c in f.terms.items()})
+    return QSymElement._of("F", {alpha[::-1]: c for alpha, c in f.terms.items()})
 
 
 def symmetric_part(x: QSymElement):
     """The Sym preimage of ``x`` under the monomial embedding, in the m
     basis, or None if ``x`` is not symmetric."""
     m = qsym_convert(x, "M")
-    out = {underlying_partition(alpha): c for alpha, c in m.terms.items()}
+    out = {tuple(sorted(alpha, reverse=True)): c for alpha, c in m.terms.items()}
     for lam, c in out.items():
         for beta in _rearrangements(sum(lam))[lam]:
             if m.terms.get(beta, 0) != c:

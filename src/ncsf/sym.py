@@ -20,6 +20,10 @@ s in h transposed and s in m is h in s transposed; m -> h is
 
 Only the h -> p rows have entries that are not integers: r! h_r has
 integer p coordinates, so they are stored over n!, the least denominator.
+
+The e, h and p bases are multiplicative: a product in one of them merges
+the indices, read from a cached table of positions per pair of degrees.
+An m or s product is taken in h.
 """
 
 from functools import cache
@@ -168,9 +172,33 @@ def sym_convert(x: SymElement, target: str) -> SymElement:
     return convert(x, target)
 
 
+@cache
+def _merged_positions(n1: int, n2: int, i: int) -> tuple:
+    """Row i of the position table of (n1, n2): the position of partition i
+    of n1 merged with each partition of n2, in order."""
+    lam, index = partitions_of(n1)[i], partition_index(n1 + n2)
+    return tuple(index[_merge(lam, mu)] for mu in partitions_of(n2))
+
+
+def _merged(n1: int, n2: int, v1: dict, v2: dict) -> dict:
+    """b_lam b_mu = b_(lam merged with mu) for b in e, h and p, on positions."""
+    out = {}
+    for i, a in v1.items():
+        row = _merged_positions(n1, n2, i)
+        for j, b in v2.items():
+            k = row[j]
+            out[k] = out.get(k, 0) + a * b
+    return out
+
+
+# the multiplicative bases; m and s multiply in the hub h
+_RULES = dict.fromkeys("ehp", _merged)
+
+
 def sym_multiply(x: SymElement, y: SymElement) -> SymElement:
-    """Product in Sym: indices merge in the multiplicative hub basis h."""
-    return multiply(x, y, "h", _merge)
+    """Product in Sym, in the basis of ``x``: e, h and p indices merge, and
+    m and s products are taken in h."""
+    return multiply(x, y, _RULES)
 
 
 def schur(lam) -> SymElement:

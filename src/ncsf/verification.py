@@ -70,8 +70,9 @@ def _solomon_checks(n: int):
                 yield Check(name, False, "product left the descent span")
                 continue
             want = class_products(young_character(alpha), young_character(beta), "pointwise")
-            witness = "" if got == want else f"theta image {got.values} != {want.values}"
-            yield Check(name, got == want, witness)
+            passed = got == want
+            witness = "" if passed else f"theta image {got.values} != {want.values}"
+            yield Check(name, passed, witness)
 
 
 _CHECKS = {

@@ -432,7 +432,8 @@ def ribbon_character_by_coarsenings(beta) -> tuple:
 
 def multiply_by_fractions(x, y, basis: str, combine) -> dict:
     """The terms of the product of ``x`` and ``y`` by the route products
-    took before the integer pass: both factors converted to the
+    took before the integer pass and the product rules of each basis
+    (``H`` or ``h``, passed as ``basis``): both factors converted to the
     multiplicative ``basis``, their coefficients multiplied pairwise as
     Fractions under ``combine`` of indices, and the product converted
     back to the basis of ``x``."""

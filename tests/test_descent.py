@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -22,7 +23,7 @@ from ncsf import (
     xi,
 )
 from ncsf import descent
-from ncsf.descent import descent_classes
+from ncsf.descent import descent_classes, descent_set_perm
 from ncsf.errors import (
     DegreeMismatchError,
     NotInDescentSpanError,
@@ -215,6 +216,20 @@ def test_psi_inverse_requires_homogeneous():
     mixed = nsym_basis_element("H", (2,)) + nsym_basis_element("H", (1, 2))
     with pytest.raises(DegreeMismatchError):
         psi_inverse(mixed)
+
+
+def test_descent_classes_group_permutations_by_descent_set_in_order():
+    for n in range(8):
+        grouping = {}
+        for sigma in permutations(range(1, n + 1)):
+            grouping.setdefault(descent_set_perm(sigma), []).append(sigma)
+        classes = descent._descent_classes(n)
+        assert list(classes) == list(grouping)
+        assert classes == {key: tuple(sigmas) for key, sigmas in grouping.items()}
+        by_composition = descent._composition_classes(n)
+        assert list(by_composition) == list(compositions_of(n))
+        for alpha, sigmas in by_composition.items():
+            assert sigmas == classes[set_of(alpha).elements if n else ()]
 
 
 def test_degree_bound_is_enforced(monkeypatch):

@@ -76,6 +76,9 @@ def test_multiplication_concatenates():
 def test_ribbon_product():
     r1 = nsym_basis_element("R", (1,))
     assert nsym_multiply(r1, r1).terms == {(2,): 1, (1, 1): 1}
+    # the concatenation and the near concatenation, which joins 1 and 1
+    x = nsym_multiply(nsym_basis_element("R", (2, 1)), nsym_basis_element("R", (1, 2)))
+    assert x.terms == {(2, 1, 1, 2): 1, (2, 2, 2): 1}
 
 
 def test_multiplication_is_associative():

@@ -10,7 +10,9 @@ every basis pair and degree at most 6, applying a stored sparse matrix to
 random terms equals applying its dense form in Fraction arithmetic, and
 the Sym and NSym products of factors in any two bases equal the product
 taken through Fraction coefficients, also with the unit, an empty factor
-and cross terms that cancel.  On random integer matrices: the
+and cross terms that cancel, and so do products of degree up to 14 in
+the NSym bases with a rule of their own, 10 in S and YS and 12 in Sym.
+On random integer matrices: the
 substitution inverse of a unitriangular matrix with permuted indices is
 its inverse, equal to the Gauss-Jordan one, and on any matrix it either
 refuses or returns the inverse.  On
@@ -403,6 +405,34 @@ def test_products_equal_the_fraction_oracle(space, left, right, data):
     assert multiply(x, cls(right, unit)) == x
     assert multiply(cls(left, unit), y) == convert(y, left)
     assert multiply(x, cls(right, {})).is_zero()
+
+
+# (space, basis of the left factor, top degree of each factor): the bases
+# with a rule of their own and those taken in the hub, with products up to
+# degree 14 in NSym R, H and E, 10 in S and YS (their hops are whole
+# matrices) and 12 in Sym
+LARGE_PRODUCTS = [
+    *(("nsym", left, 7) for left in ("R", "H", "E")),
+    *(("nsym", left, 5) for left in ("S", "YS")),
+    *(("sym", left, 6) for left in SYM_BASES),
+]
+
+
+@pytest.mark.parametrize("space,left,n", LARGE_PRODUCTS)
+@KERNEL
+@given(data=st.data())
+def test_products_at_large_degree_equal_the_fraction_oracle(space, left, n, data):
+    """Factors with terms of degrees n - 1 and n, the right one in the left
+    factor's basis and in a drawn one."""
+    cls, _, _, bases, of_degree = SPACES[space]
+    multiply, basis, combine = PRODUCTS[space]
+    indices = st.sampled_from([idx for k in (n - 1, n) for idx in of_degree(k)])
+    draw = lambda b: cls(b, data.draw(st.dictionaries(indices, coefficients, min_size=1, max_size=4)))
+    x = draw(left)
+    for y in (draw(left), draw(data.draw(st.sampled_from(bases)))):
+        product = multiply(x, y)
+        assert product.basis == left
+        assert product.terms == multiply_by_fractions(x, y, basis, combine)
 
 
 def _stored_exactly(values) -> bool:
