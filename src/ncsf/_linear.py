@@ -66,26 +66,15 @@ def canonical(terms: dict) -> dict:
     return {k: v.numerator if v.denominator == 1 else v for k, v in terms.items() if v}
 
 
-def product_terms(x: dict, y: dict, combine) -> dict:
-    """The bilinear extension to sparse terms of a product ``combine`` of
-    indices, in ``canonical`` form."""
-    out = {}
-    for i1, c1 in x.items():
-        for i2, c2 in y.items():
-            idx = combine(i1, i2)
-            out[idx] = out.get(idx, 0) + c1 * c2
-    return canonical(out)
-
-
 def _ratio(v: int, den: int):
     """v / den as an ``int`` when ``den`` divides ``v``, else a ``Fraction``."""
     return v // den if v % den == 0 else Fraction(v, den)
 
 
-def stored_row(terms: dict, index: dict, scale: int = 1) -> tuple:
-    """The stored row (cols, vals) of nonzero ``int`` terms {index: coefficient},
-    each times ``scale``; ``index`` gives columns."""
-    pairs = sorted((index[idx], c * scale) for idx, c in terms.items())
+def stored_row(vector: dict) -> tuple:
+    """The stored row (cols, vals) of the sparse ``int`` vector
+    {position: value}, zeros dropped."""
+    pairs = sorted((j, c) for j, c in vector.items() if c)
     return tuple(j for j, _ in pairs), tuple(c for _, c in pairs)
 
 

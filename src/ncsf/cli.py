@@ -20,7 +20,6 @@ from ._linear import convert_terms, dense_rows, transition_matrix
 from .compositions import partitions_of
 from .descent import max_group_degree
 from .errors import InternalConsistencyError, NcsfError, ResourceLimitError
-from .linalg import transpose
 from .characters import irreducible_character, young_character
 from .nsym import NSYM
 from .qsym import QSYM
@@ -99,7 +98,7 @@ def _cmd_matrix(args) -> int:
     order = space.indices(n)
     # row convention inside the library is "row = expansion of a source
     # element"; the emitted matrix maps coordinate vectors, so transpose
-    entries = dense_rows(transpose(transition_matrix(space, source, target, n)))
+    entries = tuple(zip(*dense_rows(transition_matrix(space, source, target, n))))
     if args.format == "csv":
         print(",".join(_index_label(idx) for idx in order))
         for row in entries:

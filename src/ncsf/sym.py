@@ -23,14 +23,14 @@ integer p coordinates, so they are stored over n!, the least denominator.
 
 The e, h and p bases are multiplicative: a product in one of them merges
 the indices, read from a cached table of positions per pair of degrees.
-An m or s product is taken in h.
+An m or s product is taken in h.  The e, p and h -> p rows are products
+of their generators' rows under the same rule.
 """
 
 from functools import cache
 from math import factorial, prod
 
-from ._linear import Element, Space, convert, dense_rows, multiply, product_terms
-from ._linear import served, stored_row
+from ._linear import Element, Space, convert, dense_rows, multiply, served, stored_row
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import Partition, check_partition, partition_index, partitions_of, z_stat
 from .linalg import invert_unitriangular, matmul, transpose
@@ -57,31 +57,28 @@ def _merge(a: Partition, b: Partition) -> Partition:
 def _alternating_row(r: int) -> dict:
     """sum over compositions beta of r of (-1)^(len(beta)-r), collected by
     underlying partition lam, which len(lam)!/prod_i m_i(lam)! of them
-    share.  Expands e_r in h, and equally h_r in e."""
+    share, on the positions of lam.  Expands e_r in h, and equally h_r in e."""
     out = {}
-    for lam in partitions_of(r):
+    for i, lam in enumerate(partitions_of(r)):
         count = factorial(len(lam)) // prod(factorial(lam.count(part)) for part in set(lam))
-        out[lam] = -count if (len(lam) - r) % 2 else count
+        out[i] = -count if (len(lam) - r) % 2 else count
     return out
 
 
 @cache
 def _p_in_h(r: int) -> dict:
-    """p_r = r*h_r - sum_{k<r} p_k h_{r-k}."""
-    if r == 0:
-        return {(): 1}
-    out = {(r,): r}
+    """p_r = r*h_r - sum_{k<r} p_k h_{r-k}, on positions: (r,) is at 0."""
+    out = {0: r}
     for k in range(1, r):
-        for idx, c in _p_in_h(k).items():
-            midx = _merge(idx, (r - k,))
-            out[midx] = out.get(midx, 0) - c
-    return {k: v for k, v in out.items() if v}
+        for j, c in _merged(k, r - k, _p_in_h(k), {0: -1}).items():
+            out[j] = out.get(j, 0) + c
+    return out
 
 
 @cache
 def _h_in_p(r: int) -> dict:
-    """r! h_r = sum over the partitions mu of r of (r!/z_mu) p_mu."""
-    return {mu: factorial(r) // z_stat(mu) for mu in partitions_of(r)}
+    """r! h_r = sum over the partitions mu of r of (r!/z_mu) p_mu, on positions."""
+    return {i: factorial(r) // z_stat(mu) for i, mu in enumerate(partitions_of(r))}
 
 
 def _jacobi_trudi_h(lam: Partition) -> dict:
@@ -111,14 +108,15 @@ def _jacobi_trudi_h(lam: Partition) -> dict:
 
 def _multiplicative(generator_row, n: int, scale=lambda lam: 1):
     """The builder of row lam: ``scale(lam)`` times the product over the
-    parts r of lam of ``generator_row(r)``."""
-    parts, index = partitions_of(n), partition_index(n)
+    parts r of lam of ``generator_row(r)``, merged on positions."""
+    parts = partitions_of(n)
 
     def row(i):
-        terms = {(): 1}
+        vector, degree = {0: scale(parts[i])}, 0
         for r in parts[i]:
-            terms = product_terms(terms, generator_row(r), _merge)
-        return stored_row(terms, index, scale(parts[i]))
+            vector = _merged(degree, r, vector, generator_row(r))
+            degree += r
+        return stored_row(vector)
 
     return row
 
@@ -130,7 +128,9 @@ def _to_h_rows(basis: str, n: int) -> tuple:
         return 1, _multiplicative(_p_in_h, n)
     if basis == "s":
         parts, index = partitions_of(n), partition_index(n)
-        return 1, lambda i: stored_row(_jacobi_trudi_h(parts[i]), index)
+        return 1, lambda i: stored_row(
+            {index[idx]: c for idx, c in _jacobi_trudi_h(parts[i]).items()}
+        )
     s_in_h = _transition_matrix(SYM, "s", "h", n)
     return served(matmul(transpose(s_in_h), s_in_h))  # m in s, then s in h
 

@@ -37,7 +37,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations, product
-from math import factorial
+from math import factorial, lcm
 
 from ncsf import (
     SYCT,
@@ -557,9 +557,19 @@ def invert(m) -> tuple:
     return tuple(tuple(row[k:]) for row in aug)
 
 
+def _over_lcm(rows):
+    """The stored matrix of sparse rows {column: int or Fraction}: ``int``
+    rows over the lcm of their denominators, as ``from_rows`` takes them."""
+    rows = list(rows)
+    den = lcm(*{x.denominator for row in rows for x in row.values()})
+    return from_rows(
+        ({j: x.numerator * (den // x.denominator) for j, x in row.items()} for row in rows), den
+    )
+
+
 def stored(m):
     """The library's sparse form of a dense matrix."""
-    return from_rows({j: x for j, x in enumerate(row) if x} for row in m)
+    return _over_lcm({j: x for j, x in enumerate(row) if x} for row in m)
 
 
 def apply_matrix(terms: dict, matrix, order) -> dict:
@@ -585,7 +595,7 @@ def ribbon_in_schur_matrix(basis: str, n: int):
 
 def matrix_of(rows, index: dict):
     """The stored matrix of rows {index: coefficient}; ``index`` gives columns."""
-    return from_rows({index[idx]: c for idx, c in row.items()} for row in rows)
+    return _over_lcm({index[idx]: c for idx, c in row.items()} for row in rows)
 
 
 @cache

@@ -13,7 +13,10 @@ ones, against the power-sum route they replace: the block counts of p in
 m (every assignment of parts to blocks up to n = 7, a memo per entry up
 to n = 10) solved densely against p -> h.
 Every cached builder stores sparse rows of nonzero ints over the least
-denominator.  Then the guards of the substitution inverse.
+denominator, and building every transition matrix, ``dhat`` and each
+substitution inverse from cold caches makes no Fraction.  Then
+``from_rows``'s least denominator and the guards of the substitution
+inverse, which refuses a matrix that is not integer.
 """
 
 from fractions import Fraction
@@ -25,7 +28,7 @@ from ncsf import sym
 from ncsf._linear import dense_rows, transition_matrix
 from ncsf.compositions import partitions_of
 from ncsf.errors import InternalConsistencyError
-from ncsf.linalg import Matrix, invert_unitriangular, matmul, transpose
+from ncsf.linalg import Matrix, from_rows, invert_unitriangular, matmul, transpose
 from ncsf.nsym import NSYM
 from ncsf.qsym import QSYM
 from ncsf.sym import SYM
@@ -166,6 +169,28 @@ def test_cached_builders_store_sparse_rows_of_nonzero_ints(n):
             assert m.den >= 1 and gcd(m.den, *(x for _, vals in m.rows for x in vals)) == 1
 
 
+def test_building_the_matrices_makes_no_fraction(monkeypatch):
+    for space in (SYM, QSYM, NSYM):
+        space.to_hub.cache_clear()
+        space.from_hub.cache_clear()
+    dhat_rows.cache_clear()
+    made, new = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for n in range(1, 7):
+        for space in (SYM, QSYM, NSYM):
+            for source in space.bases:
+                for target in space.bases:
+                    transition_matrix(space, source, target, n)
+        for m in _unitriangular(n).values():  # dhat_rows among them
+            invert_unitriangular(m)
+    assert made == []
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_pruned_jacobi_trudi_matches_permutation_sum(n):
     for lam in partitions_of(n):
@@ -194,6 +219,12 @@ def test_substitution_inverse_refuses_non_unitriangular(m, guard):
         invert_unitriangular(stored(m))
 
 
+def test_from_rows_reduces_to_the_least_denominator():
+    assert from_rows([{0: 2, 1: -6}, {1: 4}], 4) == Matrix((((0, 1), (1, -3)), ((1,), (2,))), 2)
+    assert from_rows([{0: 0}, {}], 6) == Matrix((((), ()), ((), ())), 1)
+    assert from_rows([{1: 3, 0: 0}, {0: 4}], 2) == Matrix((((1,), (3,)), ((0,), (4,))), 2)
+
+
 def _inverse(m):
     return dense_rows(invert_unitriangular(stored(m)))
 
@@ -202,6 +233,8 @@ def test_substitution_inverse_small_cases():
     assert _inverse(()) == ()
     assert _inverse(identity(3)) == identity(3)
     assert _inverse(((1, 0), (5, 1))) == ((1, 0), (-5, 1))
-    assert _inverse(((1, 0), (Fraction(1, 2), 1))) == ((1, 0), (Fraction(-1, 2), 1))
+    with pytest.raises(InternalConsistencyError, match="over 2") as refused:
+        _inverse(((1, 0), (Fraction(1, 2), 1)))
+    assert "diagonal entry" not in str(refused.value)
     m = ((1, 0, 2), (3, 1, 4), (0, 0, 1))  # upper unitriangular in the order 1, 0, 2
     assert oracles.matmul(_inverse(m), m) == identity(3)

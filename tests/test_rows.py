@@ -21,6 +21,7 @@ from ncsf import (
     irreducible_character,
     nsym_basis_element,
     nsym_convert,
+    partitions_of,
     schur,
     sym_basis_element,
     sym_convert,
@@ -141,4 +142,6 @@ def test_characters_past_any_whole_matrix_read_their_rows_only():
 
 @pytest.mark.parametrize("r", range(15))
 def test_alternating_rows_by_multinomials_equal_the_sum_over_compositions(r):
-    assert _alternating_row(r) == alternating_row_by_compositions(r)
+    parts = partitions_of(r)  # the row is keyed by positions in this order
+    by_partition = {parts[i]: c for i, c in _alternating_row(r).items()}
+    assert by_partition == alternating_row_by_compositions(r)
