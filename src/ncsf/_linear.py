@@ -310,7 +310,10 @@ def multiply(x: Element, y: Element, rules: dict) -> Element:
     One ``int`` pass: each degree of each factor is carried into that
     basis over one denominator, the rule multiplies the vectors, and the
     products landing in one degree are summed over a common denominator,
-    carried back and divided once per coordinate."""
+    carried back and divided once per coordinate.  Both factors must be
+    elements of one space: ``TypeError`` otherwise, as for ``+``."""
+    if type(y) is not type(x):
+        raise TypeError(f"cannot multiply {type(x).__name__} by {type(y).__name__}")
     space = x.space
     basis = x.basis if x.basis in rules else space.hub
     rule = rules[basis]

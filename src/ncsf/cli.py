@@ -18,7 +18,7 @@ import sys
 from . import serialize
 from ._linear import convert_terms, dense_rows, transition_matrix
 from .compositions import partitions_of
-from .descent import max_group_degree
+from .descent import _check_degree
 from .errors import InternalConsistencyError, NcsfError, ResourceLimitError
 from .characters import irreducible_character, young_character
 from .nsym import NSYM
@@ -61,14 +61,6 @@ def _resolve_basis(space: str, name: str) -> str:
     raise UsageError(f"unknown {space} basis {name!r}; expected one of {bases}")
 
 
-def _check_bound(n: int) -> None:
-    bound = max_group_degree()
-    if n > bound:
-        raise UsageError(
-            f"degree {n} exceeds the configured bound {bound} (set NCSF_MAX_N to raise it)"
-        )
-
-
 def _index_label(index) -> str:
     return ".".join(str(part) for part in index) if index else "0"
 
@@ -79,7 +71,7 @@ def _cmd_expand(args) -> int:
     target = _resolve_basis(args.space, args.target)
     index = _parse_index(args.index)
     n = sum(index)
-    _check_bound(n)
+    _check_degree(n)
     space.check_index(index)
     terms = convert_terms(space, {index: 1}, source, target)
     payload = serialize.element_payload(args.space, target, n, terms, space.index(n))
@@ -94,7 +86,7 @@ def _cmd_matrix(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError(f"degree must be at least 1: {n}")
-    _check_bound(n)
+    _check_degree(n)
     order = space.indices(n)
     # row convention inside the library is "row = expansion of a source
     # element"; the emitted matrix maps coordinate vectors, so transpose
@@ -129,12 +121,12 @@ def _cmd_tableaux(args) -> int:
 def _cmd_char(args) -> int:
     if args.young is not None:
         index = _parse_index(args.young)
-        _check_bound(sum(index))
+        _check_degree(sum(index))
         cf = young_character(index)
         kind = "young"
     else:
         index = _parse_index(args.irreducible)
-        _check_bound(sum(index))
+        _check_degree(sum(index))
         cf = irreducible_character(index)
         kind = "irreducible"
     payload = serialize.class_function_payload(kind, cf.n, cf.values, partitions_of(cf.n))
@@ -146,7 +138,7 @@ def _cmd_verify(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError(f"degree must be at least 1: {n}")
-    _check_bound(n)
+    _check_degree(n)
     report = run_suite(args.suite, n)
     passed = len(report.checks) - len(report.failures)
     if args.json:

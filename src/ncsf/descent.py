@@ -81,13 +81,13 @@ def max_group_degree() -> int:
 
 
 def _check_degree(n: int) -> None:
+    """The degree guard of every group algebra and command-line job."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative: {n}")
     bound = max_group_degree()
     if n > bound:
         raise ResourceLimitError(
-            f"degree {n} exceeds the group-algebra bound {bound}"
-            " (set NCSF_MAX_N to raise it)"
+            f"degree {n} exceeds the configured bound {bound} (set NCSF_MAX_N to raise it)"
         )
 
 

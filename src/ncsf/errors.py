@@ -37,10 +37,11 @@ class NotInDescentSpanError(NcsfError):
 
 
 class ResourceLimitError(NcsfError):
-    """A job would exceed a resource bound: a degree above the configured
-    group-algebra bound, a chain count through more shapes than the fixed
-    bound of ``tableaux._count_chains``, or a ``tableaux --list`` of more
-    tableaux than the command line prints."""
+    """A job would exceed a resource bound: a group algebra or command-line
+    job of degree above the configured bound (``descent.max_group_degree``),
+    a chain count through more shapes than the fixed bound of
+    ``tableaux._count_chains``, or a ``tableaux --list`` of more tableaux
+    than the command line prints."""
 
 
 class InternalConsistencyError(NcsfError):

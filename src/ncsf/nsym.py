@@ -10,8 +10,10 @@ rows built here are cached:
 * H, S and YS are dual to QSym's M, QS and YQS.  For such a basis b with
   dual b*, the R_beta coordinate of b_alpha is <F_beta, b_alpha>, the
   b*_alpha coordinate of F_beta: b -> R is QSym's F -> b* transposed, and
-  R -> b is b* -> F transposed.  Row alpha of H -> R is built directly, the
-  coarsenings of alpha (its mask's submasks), signed for R -> H.
+  R -> b is b* -> F transposed, two whole matrices for YS.  Row alpha of
+  H -> R is built directly, the coarsenings of alpha (its mask's
+  submasks), signed for R -> H.  S_alpha is the star image of
+  YS_(alpha reversed): S's hops are YS's with both indices reversed.
 * E_alpha is the sum of R_beta over the beta refining alpha^c, the
   composition of n whose cut set is the complement of alpha's; in canonical
   order alpha^c sits at alpha's position counted from the end.  So row
@@ -34,7 +36,7 @@ from ._linear import Element, Space, canonical, convert, dense_rows, multiply, s
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import check_composition, composition_index, compositions_of, submasks
 from .linalg import transpose
-from .qsym import QSYM, QSymElement, boolean_row, qsym_convert
+from .qsym import QSYM, QSymElement, boolean_row, qsym_convert, reversed_rows
 from .sym import SymElement
 
 __all__ = [
@@ -52,17 +54,15 @@ __all__ = [
 
 NSYM_BASES = ("E", "H", "R", "S", "YS")
 
-# the QSym basis dual to S and YS
-_QSYM_DUAL = {"S": "QS", "YS": "YQS"}
-
-
 def _to_r_rows(basis: str, n: int) -> tuple:
     if basis == "H":
         return 1, lambda a: boolean_row(a, submasks(a), False)
     if basis == "E":
         last = len(compositions_of(n)) - 1
         return 1, lambda a: QSYM.from_hub("M", n)[last ^ a]
-    return served(transpose(_transition_matrix(QSYM, "F", _QSYM_DUAL[basis], n)))
+    if basis == "YS":
+        return served(transpose(_transition_matrix(QSYM, "F", "YQS", n)))
+    return reversed_rows(NSYM.to_hub("YS", n), n)
 
 
 def _from_r_rows(basis: str, n: int) -> tuple:
@@ -71,7 +71,9 @@ def _from_r_rows(basis: str, n: int) -> tuple:
     if basis == "E":
         last = len(compositions_of(n)) - 1
         return 1, lambda b: NSYM.from_hub("H", n)[last ^ b]
-    return served(transpose(_transition_matrix(QSYM, _QSYM_DUAL[basis], "F", n)))
+    if basis == "YS":
+        return served(transpose(_transition_matrix(QSYM, "YQS", "F", n)))
+    return reversed_rows(NSYM.from_hub("YS", n), n)
 
 
 NSYM = Space(

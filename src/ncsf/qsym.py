@@ -11,10 +11,10 @@ Schur ``QS``, and Young quasisymmetric Schur ``YQS``.  The space is the
   of alpha's cut mask, its canonical position;
 * YQS -> F has the SYCT counts: the (alpha, beta) entry counts SYCTs of
   shape alpha with descent composition beta, found by counting chains in
-  the composition poset (``tableaux.dhat_rows``), a whole matrix;
-* QS -> F is the same with both indices reversed;
-* F -> QS and F -> YQS invert those integer matrices by substitution: they
-  are unitriangular in a suitable order of the compositions.
+  the composition poset (``tableaux.dhat_rows``), a whole matrix; F -> YQS
+  inverts it by substitution: it is unitriangular in a suitable order;
+* QS_alpha is the reversal image of YQS_(alpha reversed): QS -> F and
+  F -> QS are the YQS hops with both indices reversed (``reversed_rows``).
 
 This module also holds the two bridges with Sym: the monomial embedding
 and its partial inverse ``symmetric_part``.
@@ -22,7 +22,7 @@ and its partial inverse ``symmetric_part``.
 
 from functools import cache
 
-from ._linear import Element, Space, convert, dense_rows, served
+from ._linear import Element, Space, convert, dense_rows, served, stored_row
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     Composition,
@@ -35,7 +35,7 @@ from .compositions import (
     submasks,
     underlying_partition,
 )
-from .linalg import from_rows, identity, invert_unitriangular
+from .linalg import identity, invert_unitriangular
 from .sym import SymElement, sym_convert
 from .tableaux import dhat_rows
 
@@ -83,22 +83,29 @@ def _refinement_rows(n: int, signed: bool):
     return lambda a: boolean_row(a, [a | sub for sub in submasks(free ^ a)], signed)
 
 
+def reversed_rows(hop, n: int) -> tuple:
+    """The denominator and row builder of the degree-n ``hop`` with both
+    indices reversed: row alpha is row alpha^r of ``hop``, each column
+    beta moved to beta^r."""
+    index = composition_index(n)
+    at = [index[reversal(alpha)] for alpha in compositions_of(n)]
+    return hop.den, lambda a: stored_row({at[b]: x for b, x in zip(*hop[at[a]])})
+
+
 def _to_f_rows(basis: str, n: int) -> tuple:
     if basis == "M":
         return 1, _refinement_rows(n, True)
     if basis == "YQS":
         return served(dhat_rows(n) if n else identity(1))
-    # QS: the YQS matrix with both indices reversed
-    index = composition_index(n)
-    yqs = _transition_matrix(QSYM, "YQS", "F", n).rows
-    reversed_at = [index[reversal(alpha)] for alpha in compositions_of(n)]
-    return served(from_rows({reversed_at[b]: x for b, x in zip(*yqs[a])} for a in reversed_at))
+    return reversed_rows(QSYM.to_hub("YQS", n), n)
 
 
 def _from_f_rows(basis: str, n: int) -> tuple:
     if basis == "M":
         return 1, _refinement_rows(n, False)
-    return served(invert_unitriangular(_transition_matrix(QSYM, basis, "F", n)))
+    if basis == "YQS":
+        return served(invert_unitriangular(_transition_matrix(QSYM, "YQS", "F", n)))
+    return reversed_rows(QSYM.from_hub("YQS", n), n)
 
 
 QSYM = Space(

@@ -19,6 +19,7 @@ from ncsf import (
     reversal,
     schur,
     star_antiautomorphism,
+    sym_basis_element,
     sym_convert,
     underlying_partition,
 )
@@ -238,3 +239,9 @@ def test_rejects_bad_inputs():
         nsym_element("Q", {})
     with pytest.raises(ValueError):
         NSymElement("R", {(1, 0): 1})
+    # a factor of another space is refused, not read as an NSym element
+    r1 = nsym_basis_element("R", (1,))
+    for other in (sym_basis_element("h", (1,)), qsym_basis_element("M", (2, 1))):
+        for left, right in ((r1, other), (other, r1)):
+            with pytest.raises(TypeError):
+                nsym_multiply(left, right)

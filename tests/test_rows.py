@@ -6,14 +6,18 @@ cache equals that row of the whole matrix built the way the library built
 it before rows were the unit (``oracles.WHOLE_MATRIX_BUILDERS``); a hop
 built row by row holds only the rows read.  A conversion builds exactly
 the rows of the support it carries, and ``transition_matrix`` builds each
-row once and stores those same rows.  At degrees whose whole h -> p
-matrix would take seconds, the Young and irreducible characters read only
-the rows they name and equal the block counts and the Murnaghan-Nakayama
-values.  Sym's e_r rows, counted by multinomials, equal the sum over all
-compositions of r.
+row once and stores those same rows.  QS and S rows, read as reversed YQS
+and YS rows, are checked against oracles that build QS on their own, by
+reindexing and inverting, and QSym and NSym together invert one matrix
+per degree.  At degrees whose whole h -> p matrix would take seconds,
+the Young and irreducible characters read only the rows they name and
+equal the block counts and the Murnaghan-Nakayama values.  Sym's e_r
+rows, counted by multinomials, equal the sum over all compositions of r.
 """
 
+import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -27,7 +31,7 @@ from ncsf import (
     sym_convert,
     young_character,
 )
-from ncsf import characters
+from ncsf import characters, linalg
 from ncsf._linear import transition_matrix
 from ncsf.nsym import NSYM
 from ncsf.qsym import QSYM
@@ -41,14 +45,16 @@ from oracles import (
 )
 
 SPACES = (SYM, QSYM, NSYM)
-# the hops whose rows are built one at a time, not served by a whole matrix
+# the hops whose rows are built one at a time, not served by a whole matrix:
+# directly, or as another hop's rows with both indices reversed (QS those
+# of YQS, S those of YS)
 DIRECT = {
     ("Sym", "to"): ("e", "p", "s"),
     ("Sym", "from"): ("e", "p"),
-    ("QSym", "to"): ("M",),
-    ("QSym", "from"): ("M",),
-    ("NSym", "to"): ("E", "H"),
-    ("NSym", "from"): ("E", "H"),
+    ("QSym", "to"): ("M", "QS"),
+    ("QSym", "from"): ("M", "QS"),
+    ("NSym", "to"): ("E", "H", "S"),
+    ("NSym", "from"): ("E", "H", "S"),
 }
 
 
@@ -121,6 +127,25 @@ def test_a_transition_matrix_builds_each_row_once_and_stores_those_rows(space):
         assert built == Counter(range(k)), (way, basis)
         for i, (row, same) in enumerate(zip(first.rows, again.rows)):
             assert row is same is hop(basis, n)[i], (way, basis, i)
+
+
+def test_qsym_and_nsym_invert_one_matrix_per_degree(monkeypatch):
+    # F -> YQS; QS, S and YS read its rows reversed, transposed or both
+    sizes, invert = Counter(), linalg.invert_unitriangular
+
+    def counting(m):
+        sizes.update([len(m.rows)])
+        return invert(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "ncsf" and getattr(module, "invert_unitriangular", None):
+            monkeypatch.setattr(module, "invert_unitriangular", counting)
+    _cold()
+    for space in (QSYM, NSYM):
+        for n in range(1, 7):
+            for pair in product(space.bases, repeat=2):
+                transition_matrix(space, *pair, n)
+    assert sizes == Counter(2 ** (n - 1) for n in range(1, 7))
 
 
 LARGE_CYCLE_TYPES = ((24,), (12, 12), (8, 8, 8), (4,) * 6, (1,) * 24)

@@ -5,7 +5,9 @@ import pytest
 from ncsf import (
     SYM_BASES,
     kostka_counts,
+    nsym_element,
     partitions_of,
+    qsym_basis_element,
     schur,
     sym_basis_element,
     sym_convert,
@@ -167,3 +169,10 @@ def test_rejects_bad_inputs():
         sym_basis_element("h", (1, 2))
     with pytest.raises(TypeError):
         sym_element("h", {(1,): 0.5})
+    # a factor of another space is refused, not read as a Sym element
+    h1 = sym_basis_element("h", (1,))
+    for other in (nsym_element("S", {(1,): 1}), qsym_basis_element("M", (2, 1))):
+        with pytest.raises(TypeError):
+            sym_multiply(sym_element("s", {(1,): 1}), other)
+        with pytest.raises(TypeError):
+            sym_multiply(h1, other)
