@@ -6,7 +6,8 @@ through ``ncsf.cli.main``.  The set covers ``matrix`` for every basis pair
 of every space at n <= 5 (JSON and CSV), in JSON at the larger degrees of
 ``_LARGE`` and for every pair of distinct bases at the degrees of
 ``_DISTINCT_LARGE``, ``expand`` for every basis pair and index up to the
-degree of ``_EXPAND_TOP``, ``char --young``/``--irreducible`` at n <= 5 and
+degree of ``_EXPAND_TOP`` and for every index of the hops into the Schur
+bases of ``_EXPAND_LARGE`` at larger degrees, ``char --young``/``--irreducible`` at n <= 5 and
 for every partition of 6 and 7, every ``verify`` suite at n <= 4 and at the
 degrees of ``_VERIFY_LARGE`` (text and ``--json``), the QSym conversions of
 ``_CONVERT`` at the ``convert`` degree 8 in JSON, ``tableaux syct`` for
@@ -50,6 +51,13 @@ _DISTINCT_LARGE = {"sym": (), "qsym": (7,), "nsym": (7, 8)}
 _CONVERT = {"qsym": (("YQS", "F"), ("QS", "F"), ("F", "YQS"))}
 # the largest degree at which ``expand`` is pinned for every basis pair and index
 _EXPAND_TOP = {"sym": 5, "qsym": 5, "nsym": 6}
+# (degrees, basis pairs) above ``_EXPAND_TOP`` at which ``expand`` is pinned
+# for every index: the hops into the Schur bases, where they differ most
+_EXPAND_LARGE = {
+    "sym": ((7, 8), (("h", "s"), ("m", "s"), ("e", "s"), ("p", "s"))),
+    "qsym": ((6, 7), (("F", "YQS"), ("F", "QS"))),
+    "nsym": ((7,), (("R", "YS"), ("R", "S"))),
+}
 # degrees above 4 at which each ``verify`` suite is pinned, text and JSON
 _VERIFY_LARGE = {
     "main-theorem": (5, 6, 7),
@@ -95,6 +103,11 @@ def _commands() -> dict:
             for a in bases
             for b in bases
             for n in range(_EXPAND_TOP[space] + 1)
+            for index in indices(n)
+        ] + [
+            ["expand", "--space", space, "--from", a, "--to", b, "--index", _label(index)]
+            for a, b in _EXPAND_LARGE[space][1]
+            for n in _EXPAND_LARGE[space][0]
             for index in indices(n)
         ]
     groups["tableaux"] = [
