@@ -11,8 +11,8 @@ Schur ``QS``, and Young quasisymmetric Schur ``YQS``.  The space is the
   of alpha's cut mask, its canonical position;
 * YQS -> F has the SYCT counts: the (alpha, beta) entry counts SYCTs of
   shape alpha with descent composition beta, found by counting chains in
-  the composition poset (``tableaux.dhat_rows``), a whole matrix; F -> YQS
-  inverts it by substitution: it is unitriangular in a suitable order;
+  the composition poset (``tableaux.dhat_rows``), a whole matrix D; F -> YQS
+  substitutes over the rows D reaches (D is unitriangular in some order);
 * QS_alpha is the reversal image of YQS_(alpha reversed): QS -> F and
   F -> QS are the YQS hops with both indices reversed (``reversed_rows``).
 
@@ -35,7 +35,8 @@ from .compositions import (
     submasks,
     underlying_partition,
 )
-from .linalg import identity, invert_unitriangular
+from .errors import InternalConsistencyError
+from .linalg import identity
 from .sym import SymElement, sym_convert
 from .tableaux import dhat_rows
 
@@ -92,6 +93,31 @@ def reversed_rows(hop, n: int) -> tuple:
     return hop.den, lambda a: stored_row({at[b]: x for b, x in zip(*hop[at[a]])})
 
 
+def _substitution_rows(n: int):
+    """Row alpha of F -> YQS, the inverse of the unitriangular D = YQS -> F:
+    e_alpha less D[alpha][beta] times row beta for each beta != alpha, read
+    from the hop itself, so a row builds the rows D reaches, once each."""
+    pending = set()
+
+    def row(a):
+        if a in pending:
+            raise InternalConsistencyError(f"degree-{n} YQS -> F has a cycle off the diagonal")
+        after = dict(zip(*QSYM.to_hub("YQS", n)[a]))  # hops read here, not while made
+        if after.pop(a, 0) != 1:
+            raise InternalConsistencyError(f"degree-{n} YQS -> F is not unitriangular")
+        out, x = {a: 1}, QSYM.from_hub("YQS", n)
+        pending.add(a)
+        try:
+            for b, c in after.items():
+                for col, y in zip(*x[b]):
+                    out[col] = out.get(col, 0) - c * y
+            return stored_row(out)
+        finally:
+            pending.discard(a)
+
+    return 1, row
+
+
 def _to_f_rows(basis: str, n: int) -> tuple:
     if basis == "M":
         return 1, _refinement_rows(n, True)
@@ -104,7 +130,7 @@ def _from_f_rows(basis: str, n: int) -> tuple:
     if basis == "M":
         return 1, _refinement_rows(n, False)
     if basis == "YQS":
-        return served(invert_unitriangular(_transition_matrix(QSYM, "YQS", "F", n)))
+        return _substitution_rows(n)
     return reversed_rows(QSYM.from_hub("YQS", n), n)
 
 

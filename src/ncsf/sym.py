@@ -10,13 +10,13 @@ rows built here once and cached.  Row lam is built directly for
 * e <-> h and p <-> h, the product over the parts r of lam of e_r in h
   (an alternating sum over compositions), p_r in h (the Newton recurrence
   r*h_r = sum_k p_k h_{r-k}) or h_r = sum over mu of p_mu / z_mu in p,
-* s -> h, the Jacobi-Trudi determinant;
+* s -> h, the Jacobi-Trudi determinant, and h -> s, the Kostka column
+  K_(. lam) by the Pieri rule, a horizontal strip per part of lam
+  (``tableaux.strip_counts``);
 
-the other hops are whole matrices: h -> s inverts s -> h by substitution
-(it is unitriangular in dominance order), and m <-> h is Hall duality: h
-and m are dual bases and the Schur functions are orthonormal, so m in s is
-s in h transposed and s in m is h in s transposed; m -> h is
-(s -> h)^T (s -> h) and h -> m is (h -> s)(h -> s)^T.
+m <-> h are whole matrices, by Hall duality (h and m are dual, the Schur
+functions orthonormal): m in s is s in h transposed, s in m is h in s
+transposed, m -> h is (s -> h)^T (s -> h) and h -> m is (h -> s)(h -> s)^T.
 
 Only the h -> p rows have entries that are not integers: r! h_r has
 integer p coordinates, so they are stored over n!, the least denominator.
@@ -33,7 +33,8 @@ from math import factorial, prod
 from ._linear import Element, Space, convert, dense_rows, multiply, served, stored_row
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import Partition, check_partition, partition_index, partitions_of, z_stat
-from .linalg import invert_unitriangular, matmul, transpose
+from .linalg import matmul, transpose
+from .tableaux import strip_counts
 
 __all__ = [
     "SYM_BASES",
@@ -141,8 +142,10 @@ def _from_h_rows(basis: str, n: int) -> tuple:
     if basis == "p":  # n! h_lam = (n!/prod_i lam_i!) prod_i (lam_i! h_lam_i)
         scale = lambda lam: factorial(n) // prod(map(factorial, lam))
         return factorial(n), _multiplicative(_h_in_p, n, scale)
-    if basis == "s":
-        return served(invert_unitriangular(_transition_matrix(SYM, "s", "h", n)))
+    if basis == "s":  # Pieri: row mu is the Kostka column K_(. mu), a strip per part
+        parts, index = partitions_of(n), partition_index(n)
+        kostka = lambda mu: strip_counts((n,) * len(mu), mu)
+        return 1, lambda i: stored_row({index[lam]: c for lam, c in kostka(parts[i]).items()})
     h_in_s = _transition_matrix(SYM, "h", "s", n)
     return served(matmul(h_in_s, transpose(h_in_s)))  # h in s, then s in m
 

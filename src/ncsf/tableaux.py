@@ -318,26 +318,19 @@ def dhat_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return dense_rows(dhat_rows(n))
 
 
-def kostka_counts(lam: Partition, mu: Partition) -> int:
-    """Number of semistandard fillings of ``lam`` with content ``mu``.
-
-    Rows weakly increase left to right and columns strictly increase bottom
-    to top; entry k is used exactly mu[k-1] times.  Counted level by level:
-    a state is the shape filled with the entries up to k, and entry k+1
-    adds a horizontal strip of mu[k] cells inside ``lam``, row i growing to
-    at most min(lam[i], row i-1 before the strip), listed row by row.
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise DegreeMismatchError(f"degrees differ: {lam} vs {mu}")
-    level = {(0,) * len(lam): 1}
+def strip_counts(top: tuple, mu: Partition) -> dict:
+    """The semistandard fillings (rows weakly increasing, columns strictly)
+    with content ``mu`` of the shapes inside ``top``, by shape, zero rows
+    dropped.  Entry k+1 adds a horizontal strip of mu[k] cells to the shape
+    filled so far, row i growing to at most min(top[i], row i-1 before the
+    strip).  Inside lam, lam's count is the Kostka number; with no bound but
+    the degree, the counts are row mu of Sym's h -> s (the Pieri rule)."""
+    level = {(0,) * len(top): 1}
     for m in mu:
         step = {}
         for shape, count in level.items():
             strips = [((), m)]  # (rows so far, cells left to add)
-            for i, (old, top) in enumerate(zip(shape, lam)):
-                cap = min(top, shape[i - 1]) if i else top
+            for old, cap in zip(shape, map(min, top, top[:1] + shape)):
                 strips = [
                     (rows + (old + g,), left - g)
                     for rows, left in strips
@@ -347,4 +340,12 @@ def kostka_counts(lam: Partition, mu: Partition) -> int:
                 if not left:
                     step[rows] = step.get(rows, 0) + count
         level = step
-    return level.get(lam, 0)
+    return {tuple(filter(None, shape)): count for shape, count in level.items()}
+
+
+def kostka_counts(lam: Partition, mu: Partition) -> int:
+    """Number of semistandard fillings of ``lam`` with content ``mu``."""
+    lam, mu = check_partition(lam), check_partition(mu)
+    if sum(lam) != sum(mu):
+        raise DegreeMismatchError(f"degrees differ: {lam} vs {mu}")
+    return strip_counts(lam, mu).get(lam, 0)

@@ -22,7 +22,10 @@ theta, the signed sum of Young characters over the coarsenings of a
 composition for each ribbon character, coarsenings listed through
 ``comp_of`` subset by subset, and dense Fraction-generic linear algebra (Gauss-Jordan inversion, products,
 transposes and the application of a matrix to sparse terms) for the
-library's sparse integer matrices.  NSym's transition matrices are
+library's sparse integer matrices, and the whole back-substitution inverse
+of an integer unitriangular matrix in a topological order
+(``invert_unitriangular``), the reference for Sym's Pieri rows of h -> s
+and QSym's substitution rows of F -> YQS.  NSym's transition matrices are
 checked against the builders it used when ``H`` was its hub: sums over
 refinements and coarsenings, and Gauss-Jordan inverses and products with
 the ribbon expansions of S and YS.  Sym's product is checked against the
@@ -36,6 +39,7 @@ and NSym's transposes and moved rows of QSym's matrices.
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from graphlib import CycleError, TopologicalSorter
 from itertools import accumulate, permutations, product
 from math import factorial, lcm
 
@@ -55,7 +59,7 @@ from ncsf import linalg, sym
 from ncsf._linear import convert, dense_rows
 from ncsf.compositions import composition_index, partition_index, refinements, reversal
 from ncsf.errors import InternalConsistencyError
-from ncsf.linalg import from_rows
+from ncsf.linalg import Matrix, from_rows
 from ncsf.tableaux import CompositionDiagram, dhat_rows
 
 # number of involutions in S_n for n = 1..7
@@ -557,6 +561,32 @@ def invert(m) -> tuple:
     return tuple(tuple(row[k:]) for row in aug)
 
 
+def invert_unitriangular(m: Matrix) -> Matrix:
+    """The inverse of an integer matrix with unit diagonal and an acyclic
+    off-diagonal pattern (triangular in some order of its indices).  By back
+    substitution in a topological order, row i of the inverse is the
+    identity row e_i minus the sum of m[i][j] times row j of the inverse
+    over j != i.  No diagonal entry divides, so the inverse is integer."""
+    k = len(m.rows)
+    if m.den != 1:
+        raise InternalConsistencyError(f"{k}x{k} matrix is over {m.den}, not an integer matrix")
+    after = [dict(zip(*row)) for row in m.rows]
+    if any(row.pop(i, 0) != 1 for i, row in enumerate(after)):
+        raise InternalConsistencyError(f"{k}x{k} matrix has a diagonal entry other than 1")
+    try:
+        order = tuple(TopologicalSorter(dict(enumerate(after))).static_order())
+    except CycleError:
+        raise InternalConsistencyError(f"{k}x{k} matrix has a cycle off the diagonal") from None
+    x = [None] * k
+    for i in order:  # each row after the rows it needs
+        row = {i: 1}
+        for j, c in after[i].items():
+            for col, y in x[j].items():
+                row[col] = row.get(col, 0) - c * y
+        x[i] = row
+    return from_rows(x)
+
+
 def _over_lcm(rows):
     """The stored matrix of sparse rows {column: int or Fraction}: ``int``
     rows over the lcm of their denominators, as ``from_rows`` takes them."""
@@ -751,7 +781,7 @@ def sym_from_h_matrix(basis: str, n: int):
     if basis == "p":
         return _multiplicative(_h_in_p, n)
     if basis == "s":
-        return linalg.invert_unitriangular(sym_to_h_matrix("s", n))
+        return invert_unitriangular(sym_to_h_matrix("s", n))
     h_in_s = sym_from_h_matrix("s", n)
     return linalg.matmul(h_in_s, linalg.transpose(h_in_s))
 
@@ -777,7 +807,7 @@ def qsym_from_f_matrix(basis: str, n: int):
     if basis == "M":
         rows = (dict.fromkeys(refinements(alpha), 1) for alpha in compositions_of(n))
         return matrix_of(rows, composition_index(n))
-    return linalg.invert_unitriangular(qsym_to_f_matrix(basis, n))
+    return invert_unitriangular(qsym_to_f_matrix(basis, n))
 
 
 _QSYM_DUAL = {"H": "M", "S": "QS", "YS": "YQS"}

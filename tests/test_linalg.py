@@ -1,8 +1,9 @@
 """The sparse integer matrices and their builders against the dense slow
 paths they replace.
 
-At every degree n <= 7: the substitution inverse against Fraction
-Gauss-Jordan on each matrix it inverts, NSym's to-R and from-R builders
+At every degree n <= 7: the whole substitution inverse, kept as the oracle
+``oracles.invert_unitriangular``, against Fraction Gauss-Jordan on each
+unitriangular matrix the spaces build, NSym's to-R and from-R builders
 against each other's Gauss-Jordan inverse and S -> H and YS -> H against
 the inverse ribbon expansions times the old R -> H sums, the closed-form
 M -> F matrix against the inverse of F -> M, sparse products, transposes
@@ -28,7 +29,7 @@ from ncsf import sym
 from ncsf._linear import dense_rows, transition_matrix
 from ncsf.compositions import partitions_of
 from ncsf.errors import InternalConsistencyError
-from ncsf.linalg import Matrix, from_rows, invert_unitriangular, matmul, transpose
+from ncsf.linalg import Matrix, from_rows, matmul, transpose
 from ncsf.nsym import NSYM
 from ncsf.qsym import QSYM
 from ncsf.sym import SYM
@@ -39,6 +40,7 @@ from oracles import (
     block_count_by_assignments,
     identity,
     invert,
+    invert_unitriangular,
     jacobi_trudi_by_permutations,
     stored,
 )

@@ -73,7 +73,6 @@ from ncsf.compositions import compositions_of, partitions_of
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import Matrix
 from ncsf.linalg import identity as stored_identity
-from ncsf.linalg import invert_unitriangular
 from ncsf.linalg import matmul as stored_matmul
 from ncsf.nsym import transition_matrix as nsym_transition_matrix
 from ncsf.qsym import transition_matrix as qsym_transition_matrix
@@ -85,6 +84,7 @@ from oracles import (
     descent_span_coordinates_by_fractions,
     identity,
     invert,
+    invert_unitriangular,
     matmul,
     multiply_by_fractions,
     stored,

@@ -3,24 +3,36 @@ matrices they replace.
 
 For every space, basis and direction at n <= 8, each row read from a cold
 cache equals that row of the whole matrix built the way the library built
-it before rows were the unit (``oracles.WHOLE_MATRIX_BUILDERS``); a hop
-built row by row holds only the rows read.  A conversion builds exactly
-the rows of the support it carries, and ``transition_matrix`` builds each
-row once and stores those same rows.  QS and S rows, read as reversed YQS
-and YS rows, are checked against oracles that build QS on their own, by
-reindexing and inverting, and QSym and NSym together invert one matrix
-per degree.  At degrees whose whole h -> p matrix would take seconds,
-the Young and irreducible characters read only the rows they name and
-equal the block counts and the Murnaghan-Nakayama values.  Sym's e_r
-rows, counted by multinomials, equal the sum over all compositions of r.
+it before rows were the unit (``oracles.WHOLE_MATRIX_BUILDERS``), and the
+read builds what the hop's kind says, counted by the whole matrices built
+(``dhat_rows``, ``transpose``, ``matmul``) and the rows held: a row alone
+builds no whole matrix and holds one row; a row over its closure (QSym
+F -> YQS, and F -> QS through it) builds only D = YQS -> F and the rows of
+F -> YQS that D reaches; a hop served whole builds a whole matrix on its
+first read.  A conversion builds exactly the rows of the support it
+carries, and ``transition_matrix`` builds each row once and stores those
+same rows.  No library module inverts a matrix: QSym and NSym together
+build one ``dhat_rows`` matrix and two transposes per degree.  Sym's Pieri
+rows of h -> s equal the inverse of the Jacobi-Trudi matrix at n <= 12,
+QSym's substitution rows of F -> YQS the whole inverse of D at n <= 10,
+and a D that is not unitriangular is refused, by the row builder and by
+``ncsf expand`` with exit code 3.  One h -> s row at n = 20 builds no
+Jacobi-Trudi row, and one F -> YQS row at n = 12 less than the whole hop.
+At degrees whose whole h -> p matrix would take seconds, the Young and
+irreducible characters read only the rows they name and equal the block
+counts and the Murnaghan-Nakayama values.  Sym's e_r rows, counted by
+multinomials, equal the sum over all compositions of r.
 """
 
+import importlib
+import pkgutil
 import sys
 from collections import Counter
 from itertools import product
 
 import pytest
 
+import ncsf
 from ncsf import (
     irreducible_character,
     nsym_basis_element,
@@ -31,31 +43,43 @@ from ncsf import (
     sym_convert,
     young_character,
 )
-from ncsf import characters, linalg
-from ncsf._linear import transition_matrix
+from ncsf import characters, qsym
+from ncsf._linear import Hop, transition_matrix
+from ncsf.cli import main
+from ncsf.compositions import composition_index, compositions_of, reversal
+from ncsf.errors import InternalConsistencyError
+from ncsf.linalg import from_rows
 from ncsf.nsym import NSYM
 from ncsf.qsym import QSYM
 from ncsf.sym import SYM, _alternating_row
+from ncsf.tableaux import dhat_rows
 
 from oracles import (
     WHOLE_MATRIX_BUILDERS,
     alternating_row_by_compositions,
+    hook_length_count,
     murnaghan_nakayama,
     ordered_block_count,
+    qsym_from_f_matrix,
+    qsym_to_f_matrix,
+    sym_from_h_matrix,
 )
 
 SPACES = (SYM, QSYM, NSYM)
-# the hops whose rows are built one at a time, not served by a whole matrix:
-# directly, or as another hop's rows with both indices reversed (QS those
-# of YQS, S those of YS)
-DIRECT = {
+# the hops that build each row alone, from no whole matrix
+ALONE = {
     ("Sym", "to"): ("e", "p", "s"),
-    ("Sym", "from"): ("e", "p"),
-    ("QSym", "to"): ("M", "QS"),
-    ("QSym", "from"): ("M", "QS"),
-    ("NSym", "to"): ("E", "H", "S"),
-    ("NSym", "from"): ("E", "H", "S"),
+    ("Sym", "from"): ("e", "p", "s"),
+    ("QSym", "to"): ("M",),
+    ("QSym", "from"): ("M",),
+    ("NSym", "to"): ("E", "H"),
+    ("NSym", "from"): ("E", "H"),
 }
+# the hops that build a row over its closure: F -> YQS by substitution, and
+# F -> QS as its rows with both indices reversed; every other hop is served
+# by a whole matrix
+CLOSURE = {("QSym", "from"): ("YQS", "QS")}
+WHOLE_BUILDERS = ("dhat_rows", "transpose", "matmul")
 
 
 def _cold():
@@ -74,21 +98,88 @@ def _hops(space):
             yield "from", basis, space.from_hub, from_whole
 
 
+def _modules() -> list:
+    """Every module of the library, imported."""
+    names = [info.name for info in pkgutil.iter_modules(ncsf.__path__)]
+    return [ncsf] + [importlib.import_module(f"ncsf.{name}") for name in names]
+
+
+@pytest.fixture
+def whole_builds(monkeypatch) -> Counter:
+    """Count the whole matrices the library builds from now on, by (builder,
+    rows): every binding of ``WHOLE_BUILDERS`` in an ``ncsf`` module counts."""
+    built = Counter()
+
+    def counted(name, build):
+        def wrapper(*args):
+            m = build(*args)
+            built.update([(name, len(m.rows))])
+            return m
+
+        return wrapper
+
+    for module in _modules():
+        for name in WHOLE_BUILDERS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return built
+
+
+@pytest.fixture
+def rows_built(monkeypatch) -> Counter:
+    """Count the rows every hop builds from now on, by hop."""
+    built, missing = Counter(), Hop.__missing__
+
+    def counted(hop, i):
+        built.update([id(hop)])
+        return missing(hop, i)
+
+    monkeypatch.setattr(Hop, "__missing__", counted)
+    return built
+
+
+def _closure(n: int, a: int) -> set:
+    """The rows of D = YQS -> F that row ``a`` reaches through D's entries."""
+    rows, reached, todo = qsym_to_f_matrix("YQS", n).rows, {a}, [a]
+    while todo:
+        for b in rows[todo.pop()][0]:
+            if b not in reached:
+                reached.add(b)
+                todo.append(b)
+    return reached
+
+
 @pytest.mark.parametrize("space", SPACES, ids=lambda space: space.name)
 @pytest.mark.parametrize("n", range(9))
-def test_each_row_read_from_a_cold_cache_is_that_row_of_the_whole_matrix(space, n):
+def test_each_row_read_from_a_cold_cache_is_that_row_of_the_whole_matrix(
+    space, n, whole_builds, rows_built
+):
     k = len(space.indices(n))
     for way, basis, hop, whole in _hops(space):
         want = whole(basis, n)
-        direct = basis in DIRECT[space.name, way]
+        alone = basis in ALONE.get((space.name, way), ())
+        closure = basis in CLOSURE.get((space.name, way), ())
         _cold()
         for read, i in enumerate(reversed(range(k)), 1):
-            if direct:
+            if alone or closure:
                 _cold()
+            whole_builds.clear()
+            rows_built.clear()
             rows = hop(basis, n)
             assert rows[i] == want.rows[i], (way, basis, i)
             assert rows.den == want.den, (way, basis)
-            assert len(rows) == (1 if direct else read), (way, basis)
+            if alone:  # and at most one row of any other hop it reads
+                assert len(rows) == 1 and not whole_builds, (way, basis, i)
+                assert max(rows_built.values()) == 1, (way, basis, i)
+            elif closure:
+                a = i if basis == "YQS" else composition_index(n)[reversal(space.indices(n)[i])]
+                assert set(QSYM.from_hub("YQS", n)) == _closure(n, a), (basis, i)
+                assert len(rows) == 1 or basis == "YQS", (basis, i)
+                assert {name for name, _ in whole_builds} <= {"dhat_rows"}, (basis, i)
+            else:  # served whole: built on the first read, at n = 0 QSym's
+                # YQS -> F is the identity, built by none of the counted builders
+                assert len(rows) == read, (way, basis)
+                assert bool(whole_builds) == (read == 1 and (n > 0 or space is not QSYM))
 
 
 def _counting(hop) -> Counter:
@@ -129,23 +220,90 @@ def test_a_transition_matrix_builds_each_row_once_and_stores_those_rows(space):
             assert row is same is hop(basis, n)[i], (way, basis, i)
 
 
-def test_qsym_and_nsym_invert_one_matrix_per_degree(monkeypatch):
-    # F -> YQS; QS, S and YS read its rows reversed, transposed or both
-    sizes, invert = Counter(), linalg.invert_unitriangular
+def test_no_library_module_inverts_a_matrix():
+    for module in _modules():
+        assert not hasattr(module, "invert_unitriangular"), module.__name__
+        for value in vars(module).values():
+            origin = getattr(value, "__module__", None) or getattr(value, "__name__", None)
+            assert origin != "graphlib", module.__name__
 
-    def counting(m):
-        sizes.update([len(m.rows)])
-        return invert(m)
 
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "ncsf" and getattr(module, "invert_unitriangular", None):
-            monkeypatch.setattr(module, "invert_unitriangular", counting)
+def test_each_degree_builds_one_dhat_matrix_and_two_nsym_transposes(whole_builds):
+    # F -> YQS reads D's rows; QS, S and YS read those hops reversed,
+    # transposed or both
     _cold()
     for space in (QSYM, NSYM):
         for n in range(1, 7):
             for pair in product(space.bases, repeat=2):
                 transition_matrix(space, *pair, n)
-    assert sizes == Counter(2 ** (n - 1) for n in range(1, 7))
+    # a product assembles a two-hop transition matrix; it builds no hop
+    built = Counter({key: count for key, count in whole_builds.items() if key[0] != "matmul"})
+    per_degree = {"dhat_rows": 1, "transpose": 2}
+    assert built == {(name, 2 ** (n - 1)): c for n in range(1, 7) for name, c in per_degree.items()}
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_pieri_rows_are_the_inverse_of_the_jacobi_trudi_matrix(n):
+    _cold()
+    want = sym_from_h_matrix("s", n)
+    assert [SYM.from_hub("s", n)[i] for i in range(len(want.rows))] == list(want.rows)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_substitution_rows_are_the_whole_inverse_of_d(n):
+    _cold()
+    want = qsym_from_f_matrix("YQS", n)
+    hop = QSYM.from_hub("YQS", n)
+    for i in reversed(range(len(want.rows))):
+        assert hop[i] == want.rows[i], i
+
+
+def _with_entry(m, i, j, x):
+    """The stored matrix ``m`` with entry (i, j) set to ``x``."""
+    rows = [dict(zip(*row)) for row in m.rows]
+    rows[i][j] = x
+    return from_rows(rows, m.den)
+
+
+@pytest.mark.parametrize("guard", ("unitriangular", "cycle"))
+def test_substitution_rows_refuse_a_d_that_is_not_unitriangular(guard, monkeypatch, capsys):
+    n, d = 4, dhat_rows(4)
+    a, b = next((a, cols[-1]) for a, (cols, _) in enumerate(d.rows) if cols[-1] != a)
+    # a unit diagonal entry made 2, or the entry that closes the cycle a -> b -> a
+    bad = _with_entry(d, a, a, 2) if guard == "unitriangular" else _with_entry(d, b, a, 1)
+    monkeypatch.setattr(qsym, "dhat_rows", lambda m: bad if m == n else dhat_rows(m))
+    label = ",".join(map(str, compositions_of(n)[a]))
+    _cold()
+    try:
+        with pytest.raises(InternalConsistencyError, match=guard):
+            QSYM.from_hub("YQS", n)[a]
+        argv = ["expand", "--space", "qsym", "--from", "F", "--to", "YQS", "--index", label]
+        assert main(argv) == 3
+        assert guard in capsys.readouterr().err
+    finally:
+        _cold()
+
+
+def test_one_h_to_s_row_builds_no_jacobi_trudi_row():
+    _cold()
+    assert sym_convert(sym_basis_element("h", (20,)), "s").terms == {(20,): 1}
+    assert len(SYM.from_hub("s", 20)) == 1 and not SYM.to_hub("s", 20)
+    # h_(1^20) = sum over lam of f^lam s_lam: one row, 627 terms
+    s = sym_convert(sym_basis_element("h", (1,) * 20), "s")
+    assert s.terms == {lam: hook_length_count(lam) for lam in partitions_of(20)}
+    assert len(SYM.from_hub("s", 20)) == 2 and not SYM.to_hub("s", 20)
+
+
+def test_one_f_to_yqs_row_builds_less_than_the_whole_hop():
+    _cold()
+    a = composition_index(12)[3, 2, 4, 1, 2]
+    hop, d = QSYM.from_hub("YQS", 12), dhat_rows(12).rows
+    identity_row = Counter()  # row a of (F -> YQS)(YQS -> F)
+    for b, x in zip(*hop[a]):
+        for j, y in zip(*d[b]):
+            identity_row[j] += x * y
+    assert +identity_row == {a: 1}
+    assert len(hop) < 2**11
 
 
 LARGE_CYCLE_TYPES = ((24,), (12, 12), (8, 8, 8), (4,) * 6, (1,) * 24)

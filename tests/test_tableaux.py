@@ -19,7 +19,6 @@ from ncsf import (
     underlying_partition,
 )
 from ncsf.errors import DegreeMismatchError, MalformedFillingError, ResourceLimitError
-from ncsf.linalg import invert_unitriangular
 from ncsf.tableaux import (
     CompositionDiagram,
     _chains,
@@ -38,6 +37,7 @@ from oracles import (
     dhat_by_enumeration,
     hook_length_count,
     invert,
+    invert_unitriangular,
     kostka_by_backtracking,
     syct_conditions_hold,
     syct_rows_by_backtracking,
