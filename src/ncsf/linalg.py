@@ -3,10 +3,9 @@
 A ``Matrix`` is stored only as sparse rows over one denominator ``den``:
 row i is a pair of tuples ``(cols, vals)``, the increasing positions of its
 nonzero entries and those entries as ints, each meaning ``val / den``.
-``den`` is the least one, so it is 1 for an integer matrix.  Every
-operation stays in ``int``: a transpose keeps ``den`` and a product sums
-``int`` products over the product of the two denominators.  Matrices are
-square.
+``den`` is the least one, so it is 1 for an integer matrix.  Every operation
+stays in ``int``: a transpose keeps ``den`` and a product sums ``int``
+products over the product of the two denominators.  Matrices are square.
 """
 
 from math import gcd

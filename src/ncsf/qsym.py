@@ -102,10 +102,10 @@ def _substitution_rows(n: int):
     def row(a):
         if a in pending:
             raise InternalConsistencyError(f"degree-{n} YQS -> F has a cycle off the diagonal")
-        after = dict(zip(*QSYM.to_hub("YQS", n)[a]))  # hops read here, not while made
+        after = dict(zip(*QSYM.to_hub("YQS", n)[a]))
         if after.pop(a, 0) != 1:
-            raise InternalConsistencyError(f"degree-{n} YQS -> F is not unitriangular")
-        out, x = {a: 1}, QSYM.from_hub("YQS", n)
+            raise InternalConsistencyError(f"degree-{n} YQS -> F has a diagonal entry other than 1")
+        out, x = {a: 1}, QSYM.from_hub("YQS", n)  # read here: not cached while it is made
         pending.add(a)
         try:
             for b, c in after.items():

@@ -11,8 +11,7 @@ rows built here once and cached.  Row lam is built directly for
   (an alternating sum over compositions), p_r in h (the Newton recurrence
   r*h_r = sum_k p_k h_{r-k}) or h_r = sum over mu of p_mu / z_mu in p,
 * s -> h, the Jacobi-Trudi determinant, and h -> s, the Kostka column
-  K_(. lam) by the Pieri rule, a horizontal strip per part of lam
-  (``tableaux.strip_counts``);
+  K_(. lam) by the Pieri rule, a strip per part (``tableaux.strip_counts``);
 
 m <-> h are whole matrices, by Hall duality (h and m are dual, the Schur
 functions orthonormal): m in s is s in h transposed, s in m is h in s
@@ -143,9 +142,8 @@ def _from_h_rows(basis: str, n: int) -> tuple:
         scale = lambda lam: factorial(n) // prod(map(factorial, lam))
         return factorial(n), _multiplicative(_h_in_p, n, scale)
     if basis == "s":  # Pieri: row mu is the Kostka column K_(. mu), a strip per part
-        parts, index = partitions_of(n), partition_index(n)
-        kostka = lambda mu: strip_counts((n,) * len(mu), mu)
-        return 1, lambda i: stored_row({index[lam]: c for lam, c in kostka(parts[i]).items()})
+        mus, index, top = partitions_of(n), partition_index(n), (n,) * n
+        return 1, lambda i: stored_row({index[s]: c for s, c in strip_counts(top, mus[i]).items()})
     h_in_s = _transition_matrix(SYM, "h", "s", n)
     return served(matmul(h_in_s, transpose(h_in_s)))  # h in s, then s in m
 

@@ -28,7 +28,8 @@ column of i or further left, on an SYT exactly when it is in a higher row.
 None of them recurses, so no shape is too long for the recursion limit.
 The constructors check everything; the listers build what the chain walk
 made valid without a second check (``_Tableau._of``).  The tests check the
-chain test against the conditions of the definitions.
+chain test against the conditions of the definitions.  Semistandard fillings
+are counted by one walk, ``strip_counts``, for ``kostka_counts`` and h -> s.
 """
 
 from collections import Counter
@@ -318,29 +319,31 @@ def dhat_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return dense_rows(dhat_rows(n))
 
 
+@cache
+def _strips(shape: Partition, m: int, top: tuple) -> tuple:
+    """The shapes inside ``top`` that add a horizontal strip of m cells to
+    ``shape``: row i grows to at most min(top[i], row i-1 of ``shape``)."""
+    strips = [((), m)]  # (rows so far, cells left to add)
+    for old, cap in zip(shape + (0,), map(min, top, top[:1] + shape)):
+        strips = [
+            (rows + (old + g,), left - g)
+            for rows, left in strips
+            for g in range(min(cap - old, left) + 1)
+        ]
+    return tuple(rows if rows[-1] else rows[:-1] for rows, left in strips if not left)
+
+
 def strip_counts(top: tuple, mu: Partition) -> dict:
-    """The semistandard fillings (rows weakly increasing, columns strictly)
-    with content ``mu`` of the shapes inside ``top``, by shape, zero rows
-    dropped.  Entry k+1 adds a horizontal strip of mu[k] cells to the shape
-    filled so far, row i growing to at most min(top[i], row i-1 before the
-    strip).  Inside lam, lam's count is the Kostka number; with no bound but
-    the degree, the counts are row mu of Sym's h -> s (the Pieri rule)."""
-    level = {(0,) * len(top): 1}
+    """Semistandard fillings with content ``mu`` of the shapes inside ``top``,
+    by shape: entry k+1 adds a horizontal strip of mu[k] cells (``_strips``)."""
+    level = {(): 1}
     for m in mu:
         step = {}
         for shape, count in level.items():
-            strips = [((), m)]  # (rows so far, cells left to add)
-            for old, cap in zip(shape, map(min, top, top[:1] + shape)):
-                strips = [
-                    (rows + (old + g,), left - g)
-                    for rows, left in strips
-                    for g in range(min(cap - old, left) + 1)
-                ]
-            for rows, left in strips:
-                if not left:
-                    step[rows] = step.get(rows, 0) + count
+            for new in _strips(shape, m, top):
+                step[new] = step.get(new, 0) + count
         level = step
-    return {tuple(filter(None, shape)): count for shape, count in level.items()}
+    return level
 
 
 def kostka_counts(lam: Partition, mu: Partition) -> int:

@@ -265,12 +265,12 @@ def _with_entry(m, i, j, x):
     return from_rows(rows, m.den)
 
 
-@pytest.mark.parametrize("guard", ("unitriangular", "cycle"))
+@pytest.mark.parametrize("guard", ("diagonal", "cycle"))
 def test_substitution_rows_refuse_a_d_that_is_not_unitriangular(guard, monkeypatch, capsys):
     n, d = 4, dhat_rows(4)
     a, b = next((a, cols[-1]) for a, (cols, _) in enumerate(d.rows) if cols[-1] != a)
     # a unit diagonal entry made 2, or the entry that closes the cycle a -> b -> a
-    bad = _with_entry(d, a, a, 2) if guard == "unitriangular" else _with_entry(d, b, a, 1)
+    bad = _with_entry(d, a, a, 2) if guard == "diagonal" else _with_entry(d, b, a, 1)
     monkeypatch.setattr(qsym, "dhat_rows", lambda m: bad if m == n else dhat_rows(m))
     label = ",".join(map(str, compositions_of(n)[a]))
     _cold()
