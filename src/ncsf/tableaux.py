@@ -321,10 +321,9 @@ def dhat_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 @cache
 def _strips(shape: Partition, m: int, top: tuple) -> tuple:
-    """The shapes inside ``top`` that add a horizontal strip of m cells to
-    ``shape``: row i grows to at most min(top[i], row i-1 of ``shape``)."""
+    """The shapes inside ``top`` that add a horizontal m-strip to ``shape``."""
     strips = [((), m)]  # (rows so far, cells left to add)
-    for old, cap in zip(shape + (0,), map(min, top, top[:1] + shape)):
+    for old, cap in zip(shape + (0,), map(min, top, top[:1] + shape)):  # min(top[i], row i-1)
         strips = [
             (rows + (old + g,), left - g)
             for rows, left in strips
@@ -334,8 +333,7 @@ def _strips(shape: Partition, m: int, top: tuple) -> tuple:
 
 
 def strip_counts(top: tuple, mu: Partition) -> dict:
-    """Semistandard fillings with content ``mu`` of the shapes inside ``top``,
-    by shape: entry k+1 adds a horizontal strip of mu[k] cells (``_strips``)."""
+    """The semistandard fillings of content ``mu`` inside ``top``, by shape."""
     level = {(): 1}
     for m in mu:
         step = {}
@@ -347,7 +345,9 @@ def strip_counts(top: tuple, mu: Partition) -> dict:
 
 
 def kostka_counts(lam: Partition, mu: Partition) -> int:
-    """Number of semistandard fillings of ``lam`` with content ``mu``."""
+    """Number of semistandard fillings of ``lam`` with content ``mu``: rows
+    weakly increase left to right, columns strictly bottom to top, and entry
+    k is used mu[k-1] times."""
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise DegreeMismatchError(f"degrees differ: {lam} vs {mu}")
