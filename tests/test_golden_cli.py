@@ -62,9 +62,9 @@ _EXPAND_LARGE = {
 _VERIFY_LARGE = {
     "main-theorem": (5, 6, 7),
     "duality": (5, 6),
-    "solomon": (5,),
+    "solomon": (5, 6),
     "square": (5, 6, 7),
-    "all": (5,),
+    "all": (5, 6),
 }
 
 
