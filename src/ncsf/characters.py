@@ -19,6 +19,7 @@ from functools import cache
 from ._linear import canonical
 from .compositions import (
     Composition,
+    _z_table,
     check_composition,
     check_partition,
     composition_index,
@@ -26,7 +27,6 @@ from .compositions import (
     format_composition,
     partitions_of,
     underlying_partition,
-    z_stat,
 )
 from .descent import GroupAlgebraElement, psi, psi_inverse, xi
 from .errors import DegreeMismatchError, InternalConsistencyError
@@ -99,7 +99,9 @@ def class_function(n: int, values) -> ClassFunction:
 
 def frobenius_ch(f: ClassFunction) -> SymElement:
     """sum over cycle types mu of f(mu)/z_mu times the power sum of mu."""
-    terms = {mu: Fraction(value, z_stat(mu)) for mu, value in f.values.items()}
+    terms = {
+        mu: Fraction(value, z) for (mu, value), z in zip(f.values.items(), _z_table(f.n))
+    }
     return SymElement._of("p", canonical(terms))
 
 
@@ -114,8 +116,8 @@ def ch_inverse(g: SymElement) -> ClassFunction:
         )
     n = degrees.pop()
     values = {}
-    for mu in partitions_of(n):
-        value = z_stat(mu) * gp.terms.get(mu, 0)
+    for mu, z in zip(partitions_of(n), _z_table(n)):
+        value = z * gp.terms.get(mu, 0)
         if value.denominator != 1:
             raise InternalConsistencyError(
                 f"non-integral character value {value} at cycle type {mu}"

@@ -209,9 +209,18 @@ def submasks(mask: int) -> list[int]:
 
 def z_stat(mu: Partition) -> int:
     """The centralizer order prod_i i^{m_i} m_i! of a permutation of cycle type mu."""
-    mu = check_partition(mu)
+    return _z(check_partition(mu))
+
+
+def _z(mu: Partition) -> int:
     z = 1
     for part in set(mu):
         m = mu.count(part)
         z *= part**m * factorial(m)
     return z
+
+
+@cache
+def _z_table(n: int) -> tuple[int, ...]:
+    """``z_stat`` of each partition of n, in canonical order."""
+    return tuple(map(_z, partitions_of(n)))

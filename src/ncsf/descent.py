@@ -13,10 +13,17 @@ and multiples) are not checked again.
 
 ``xi``, ``delta`` and ``psi_inverse`` build their elements from class-sum
 coordinates, and those elements carry the coordinates, which ``psi`` reads
-instead of scanning S_n.  Every other element (one built by the public
-constructors, a sum, a multiple or a ``convolve`` product) carries none,
-so ``psi`` finds its coordinates by ``descent_span_coordinates``, which
-also checks that it lies in the descent algebra.
+instead of scanning S_n.  So does the ``convolve`` product of two such
+elements: it is the weighted sum of the products of their class sums, and
+each of those is formed in S_n on its first use, checked to be constant
+on every descent class and kept (``_class_product``).  A one-off product
+so forms the |a.terms| * |b.terms| permutation products of the product in
+S_n, and the products of all pairs of class-built elements of one degree
+n form (n!)^2 in all.  Every other element (one built by the public
+constructors, a sum, a multiple, or a product with a factor that carries
+no coordinates) carries none, so ``psi`` finds its coordinates by
+``descent_span_coordinates``, which also checks that it lies in the
+descent algebra.
 
 Building a group algebra of degree above the configured bound (default 8,
 override with the NCSF_MAX_N environment variable) raises
@@ -28,7 +35,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, permutations, repeat
-from operator import gt
+from operator import gt, mul
 
 from ._linear import LinearCombinationOps, canonical, normalize_terms
 from .compositions import (
@@ -37,6 +44,7 @@ from .compositions import (
     check_composition,
     coarsenings,
     comp_of,
+    composition_index,
     compositions_of,
 )
 from .errors import DegreeMismatchError, NotInDescentSpanError, ResourceLimitError
@@ -228,29 +236,106 @@ def delta(alpha) -> GroupAlgebraElement:
     return _of_classes(sum(alpha), {alpha: 1})
 
 
+def _table(sigma: Permutation) -> bytes:
+    """The 256-byte table (0, *sigma), which ``bytes.translate`` reads as
+    sigma; bytes hold degrees below 256."""
+    return bytes((0, *sigma)).ljust(256, b"\0")
+
+
+def _count_products(tables, words, count: Counter) -> Counter:
+    """``count`` updated with each product sigma . tau, over the
+    permutations sigma given as tables (``_table``) and tau given as
+    bytes: sigma . tau is ``tau.translate(table)``.  The products are
+    counted in C, looping in Python over the smaller side only."""
+    if len(tables) < len(words):
+        for table in tables:
+            count.update(map(bytes.translate, words, repeat(table)))
+    else:
+        for tau in words:
+            count.update(map(tau.translate, tables))
+    return count
+
+
+@cache
+def _class_bytes(n: int) -> tuple:
+    """The byte encodings of the descent classes of degree ``n``, in the
+    canonical order of their compositions: per class, its permutations as
+    tables and as words for ``_count_products``; and a map from
+    each word to the canonical position of its class.  Read it after
+    ``descent_classes(n)``, which checks the degree bound."""
+    tables, words, position = [], [], {}
+    for i, sigmas in enumerate(_composition_classes(n).values()):
+        tables.append(tuple(map(_table, sigmas)))
+        words.append(tuple(map(bytes, sigmas)))
+        position.update(dict.fromkeys(words[-1], i))
+    return tuple(tables), tuple(words), position
+
+
+@cache
+def _class_product(n: int, d: Composition, e: Composition):
+    """The coordinates of the product of the class sums of ``d`` and ``e``
+    over the class sums of degree ``n``, a tuple in canonical order, or
+    None when the product does not carry a constant coefficient on some
+    descent class, the rule of ``descent_span_coordinates``.  It counts
+    |class d| * |class e| permutation products, once per (n, d, e)."""
+    tables, words, position = _class_bytes(n)
+    index = composition_index(n)
+    count = _count_products(tables[index[d]], words[index[e]], Counter())
+    # how many members of each class carry each count: a class is constant
+    # when one count covers all its members, or when no product reaches it
+    tally = Counter(zip(map(position.__getitem__, count), count.values()))
+    coords = [0] * len(words)
+    for (i, k), members in tally.items():
+        if coords[i] or members != len(words[i]):
+            return None
+        coords[i] = k
+    return tuple(coords)
+
+
+def _class_convolve(n: int, x: dict, y: dict):
+    """The class coordinates, canonical, of the product of the elements of
+    class coordinates ``x`` and ``y``, or None when some class product it
+    needs leaves the descent span.  The weighted class products are summed
+    position by position."""
+    vectors = []
+    for d, c in x.items():
+        for e, c2 in y.items():
+            vector = _class_product(n, d, e)
+            if vector is None:
+                return None
+            weight = c * c2
+            vectors.append(vector if weight == 1 else tuple(map(mul, vector, repeat(weight))))
+    return canonical(dict(zip(compositions_of(n), map(sum, zip(*vectors)))))
+
+
 def convolve(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
     """The group-ring product, extending permutation composition bilinearly.
-    With sigma as the 256-byte table (0, *sigma) and tau as bytes, sigma . tau
-    is ``tau.translate(table)``; the products of each pair of weights are
-    counted in C, looping in Python over the smaller side only, and each
-    distinct product becomes a tuple once.  Bytes hold degrees below 256."""
+
+    When both factors carry class coordinates, the product is the sum of
+    c_d c_e times the product of the class sums of d and e over their
+    coordinates, and it carries its coordinates.  Each class product is
+    counted in S_n on its first use and kept (``_class_product``), so a
+    one-off product counts the |a.terms| * |b.terms| permutation products
+    that the S_n path counts, and a repeat counts none.  If some class
+    product leaves the descent span, or a factor carries no coordinates,
+    the product is taken in S_n: the terms of each pair of weights are
+    counted by ``_count_products`` and each distinct product becomes a
+    tuple once."""
     if a.n != b.n:
         raise DegreeMismatchError(f"degrees differ: {a.n} vs {b.n}")
+    if a._coords is not None and b._coords is not None:
+        coords = _class_convolve(a.n, a._coords, b._coords)
+        if coords is not None:
+            return _of_classes(a.n, coords)
     tables, words = defaultdict(list), defaultdict(list)
     for sigma, c in a.terms.items():
-        tables[c].append(bytes((0, *sigma)).ljust(256, b"\0"))
+        tables[c].append(_table(sigma))
     for tau, c in b.terms.items():
         words[c].append(bytes(tau))
     counts = defaultdict(Counter)
     for c1, sigmas in tables.items():
         for c2, taus in words.items():
-            count = counts[c1 * c2]
-            if len(sigmas) < len(taus):
-                for table in sigmas:
-                    count.update(map(bytes.translate, taus, repeat(table)))
-            else:
-                for tau in taus:
-                    count.update(map(tau.translate, sigmas))
+            _count_products(sigmas, taus, counts[c1 * c2])
     out = Counter()
     for weight, products in counts.items():
         out.update({product: weight * k for product, k in products.items()})

@@ -31,7 +31,7 @@ from math import factorial, prod
 
 from ._linear import Element, Space, convert, dense_rows, multiply, served, stored_row
 from ._linear import transition_matrix as _transition_matrix
-from .compositions import Partition, check_partition, partition_index, partitions_of, z_stat
+from .compositions import Partition, _z_table, check_partition, partition_index, partitions_of
 from .linalg import matmul, transpose
 from .tableaux import strip_counts
 
@@ -78,7 +78,7 @@ def _p_in_h(r: int) -> dict:
 @cache
 def _h_in_p(r: int) -> dict:
     """r! h_r = sum over the partitions mu of r of (r!/z_mu) p_mu, on positions."""
-    return {i: factorial(r) // z_stat(mu) for i, mu in enumerate(partitions_of(r))}
+    return {i: factorial(r) // z for i, z in enumerate(_z_table(r))}
 
 
 def _jacobi_trudi_h(lam: Partition) -> dict:

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from ncsf import (
+    NSymElement,
     compose,
     compositions_of,
     convolve,
@@ -199,7 +200,8 @@ def test_other_elements_carry_no_coordinates():
         x - y,
         2 * x,
         -x,
-        convolve(x, y),
+        convolve(x + y, y),
+        convolve(y, 2 * x),
     )
     for z in others:
         assert z._coords is None
@@ -207,9 +209,57 @@ def test_other_elements_carry_no_coordinates():
     assert "_coords" not in repr(x)
     # psi finds their coordinates by the scan
     assert psi(x + y) == psi(x) + psi(y)
-    assert psi(convolve(x, y)).terms == descent_span_coordinates(convolve(x, y))
+    assert psi(convolve(x + y, y)).terms == descent_span_coordinates(convolve(x + y, y))
     with pytest.raises(NotInDescentSpanError):
         psi(x + group_algebra_element(3, {(2, 1, 3): 1}))
+
+
+def test_products_of_class_built_elements_carry_the_coordinates_the_scan_finds():
+    x, y = xi((1, 2)), delta((2, 1))
+    for product in (convolve(x, y), convolve(y, x), convolve(x, x)):
+        assert product._coords is not None
+        assert list(product._coords.items()) == list(descent_span_coordinates(product).items())
+    # (e + w0)(e - w0) = 0, w0 the longest permutation: every coordinate cancels
+    plus, minus = (psi_inverse(NSymElement("R", {(3,): 1, (1, 1, 1): c})) for c in (1, -1))
+    zero = convolve(plus, minus)
+    assert zero.terms == {} and zero._coords == {}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_class_products_are_the_scanned_coordinates_of_class_sum_products(n):
+    # class sums built by the constructor carry no coordinates, so their
+    # product is taken in S_n and scanned
+    sums = {
+        alpha: group_algebra_element(n, dict.fromkeys(delta(alpha).terms, 1))
+        for alpha in compositions_of(n)
+    }
+    for d, delta_d in sums.items():
+        for e, delta_e in sums.items():
+            assert delta_d._coords is None
+            want = descent_span_coordinates(convolve(delta_d, delta_e))
+            vector = descent._class_product(n, d, e)
+            assert len(vector) == len(sums)
+            got = {alpha: k for alpha, k in zip(compositions_of(n), vector) if k}
+            assert got == want, (d, e)
+
+
+def test_a_one_off_class_product_counts_each_permutation_product_once(monkeypatch):
+    formed = []
+    count_products = descent._count_products
+
+    def counting(tables, words, count):
+        formed.append(len(tables) * len(words))
+        return count_products(tables, words, count)
+
+    monkeypatch.setattr(descent, "_count_products", counting)
+    descent._class_product.cache_clear()
+    a, b = xi((3, 4)), xi((2, 5))
+    product = convolve(a, b)
+    assert sum(formed) == len(a.terms) * len(b.terms)
+    formed.clear()
+    assert convolve(a, b) == product
+    assert formed == []
+    assert product.terms == convolve(group_algebra_element(7, a.terms), b).terms
 
 
 def test_psi_inverse_requires_homogeneous():

@@ -20,7 +20,10 @@ random group-algebra elements of degree at most 5: ``convolve`` and
 ``descent_span_coordinates`` equal their Fraction oracles, also where the
 weights of a product cancel and with either factor the shorter, and theta
 of a product of contained-descent-set sums is the pointwise product of
-Young characters.  On random descent-span elements of degree at most 6,
+Young characters.  On products of random elements that carry class
+coordinates (``xi``, ``delta`` and ``psi_inverse`` of ribbon terms, also
+where coordinates cancel), ``convolve`` equals its Fraction oracle and the
+coordinates it carries are those the scan finds.  On random descent-span elements of degree at most 6,
 theta through the cached ribbon characters equals the Moebius sum over
 Young characters.  Every stored coefficient is an ``int`` or a
 ``Fraction`` with denominator above 1, whatever operation made it, and
@@ -342,6 +345,35 @@ def test_convolve_by_translation_equals_the_fraction_oracle_on_either_side(data)
         product = convolve(a, b)
         assert product.terms == convolve_by_fractions(a, b)
         assert _stored_exactly(product.terms.values())
+
+
+@st.composite
+def class_built_elements(draw, n):
+    """An element that carries class coordinates: ``xi`` or ``delta`` of a
+    composition of n, or ``psi_inverse`` of ribbon terms with nonzero
+    coefficients of either sign."""
+    kind = draw(st.sampled_from(("xi", "delta", "R")))
+    if kind == "R":
+        comps = st.sampled_from(compositions_of(n))
+        terms = draw(st.dictionaries(comps, scalars.filter(bool), min_size=1, max_size=4))
+        return psi_inverse(NSymElement("R", terms))
+    return (xi if kind == "xi" else delta)(draw(st.sampled_from(compositions_of(n))))
+
+
+@GROUP
+@given(data=st.data())
+def test_convolve_of_class_built_elements_equals_the_fraction_oracle(data):
+    n = data.draw(st.integers(0, TOP))
+    a, b = data.draw(class_built_elements(n)), data.draw(class_built_elements(n))
+    if n > 1 and data.draw(st.booleans()):
+        # (e + c w0)(e - c w0) = (1 - c^2) e, w0 the longest permutation:
+        # the coordinate over the class of w0 cancels
+        c = data.draw(scalars.filter(bool))
+        a, b = (psi_inverse(NSymElement("R", {(n,): 1, (1,) * n: s})) for s in (c, -c))
+    product = convolve(a, b)
+    assert product.terms == convolve_by_fractions(a, b)
+    assert list(product._coords.items()) == list(descent_span_coordinates(product).items())
+    assert _stored_exactly(product._coords.values())
 
 
 @st.composite

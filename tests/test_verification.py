@@ -1,5 +1,8 @@
 """The verify suites: one registry, the duality suite's matrices against the
-per-pair pairing, and the command line's own degree check."""
+per-pair pairing, the command line's own degree check, and the solomon
+suite under a miscounting product kernel and without its class products."""
+
+import json
 
 import pytest
 
@@ -11,6 +14,7 @@ from ncsf import (
     run_suite,
     verify_main_theorem,
 )
+from ncsf import descent
 from ncsf._linear import dense_rows
 from ncsf.characters import character_checks, square_checks
 from ncsf.cli import main
@@ -66,3 +70,42 @@ def test_cli_refuses_duality_above_the_configured_bound(capsys, monkeypatch):
     assert code == 2
     assert "configured bound" in captured.err
     assert captured.out == ""
+
+
+@pytest.fixture
+def fresh_class_products():
+    """The memo of class products, empty before the test and after it."""
+    memo = descent._class_product
+    memo.cache_clear()
+    yield
+    memo.cache_clear()
+
+
+def test_solomon_catches_a_miscounting_kernel_on_both_paths(
+    capsys, monkeypatch, fresh_class_products
+):
+    # (2, 1, 3) shares its descent class with (3, 1, 2): one extra count
+    # leaves every class product, and every S_n product, off the span
+    count_products = descent._count_products
+
+    def miscounting(tables, words, count):
+        count_products(tables, words, count)
+        count[bytes((2, 1, 3))] += 1
+        return count
+
+    monkeypatch.setattr(descent, "_count_products", miscounting)
+    assert len(descent.descent_classes(3)[(1,)]) == 2
+    code = main(["verify", "solomon", "-n", "3", "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    assert len(checks) == 16
+    for check in checks:
+        assert not check["passed"]
+        assert check["witness"] == "product left the descent span"
+
+
+def test_solomon_without_class_products_takes_the_s_n_path(monkeypatch, fresh_class_products):
+    want = run_suite("solomon", 4)
+    monkeypatch.setattr(descent, "_class_product", lambda n, d, e: None)
+    assert run_suite("solomon", 4) == want
+    assert want.all_passed
