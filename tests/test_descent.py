@@ -233,9 +233,9 @@ def test_class_products_are_the_scanned_coordinates_of_class_sum_products(n):
         alpha: group_algebra_element(n, dict.fromkeys(delta(alpha).terms, 1))
         for alpha in compositions_of(n)
     }
+    assert all(delta_d._coords is None for delta_d in sums.values())
     for d, delta_d in sums.items():
         for e, delta_e in sums.items():
-            assert delta_d._coords is None
             want = descent_span_coordinates(convolve(delta_d, delta_e))
             vector = descent._class_product(n, d, e)
             assert len(vector) == len(sums)

@@ -23,9 +23,9 @@ of a product of contained-descent-set sums is the pointwise product of
 Young characters.  On products of random elements that carry class
 coordinates (``xi``, ``delta`` and ``psi_inverse`` of ribbon terms, also
 where coordinates cancel), ``convolve`` equals its Fraction oracle and the
-coordinates it carries are those the scan finds.  On random descent-span elements of degree at most 6,
-theta through the cached ribbon characters equals the Moebius sum over
-Young characters.  Every stored coefficient is an ``int`` or a
+coordinates it carries are those the scan finds.  On random descent-span
+elements of degree at most 6, theta through the cached ribbon characters
+equals the Moebius sum over Young characters.  Every stored coefficient is an ``int`` or a
 ``Fraction`` with denominator above 1, whatever operation made it, and
 every result the library builds without checking, the images of the
 maps between and within the spaces included, equals its checked copy.
