@@ -6,8 +6,8 @@ through ``ncsf.cli.main``.  The set covers ``matrix`` for every basis pair
 of every space at n <= 5 (JSON and CSV), in JSON at the larger degrees of
 ``_LARGE`` and for every pair of distinct bases at the degrees of
 ``_DISTINCT_LARGE``, ``expand`` for every basis pair and index up to the
-degree of ``_EXPAND_TOP`` and for every index of the hops into the Schur
-bases of ``_EXPAND_LARGE`` at larger degrees, ``char --young``/``--irreducible`` at n <= 5 and
+degree of ``_EXPAND_TOP`` and for every index of the hops into and out of
+the Schur bases of ``_EXPAND_LARGE`` at larger degrees, ``char --young``/``--irreducible`` at n <= 5 and
 for every partition of 6 and 7, every ``verify`` suite at n <= 4 and at the
 degrees of ``_VERIFY_LARGE`` (text and ``--json``), the QSym conversions of
 ``_CONVERT`` at the ``convert`` degree 8 in JSON, ``tableaux syct`` for
@@ -52,11 +52,12 @@ _CONVERT = {"qsym": (("YQS", "F"), ("QS", "F"), ("F", "YQS"))}
 # the largest degree at which ``expand`` is pinned for every basis pair and index
 _EXPAND_TOP = {"sym": 5, "qsym": 5, "nsym": 6}
 # (degrees, basis pairs) above ``_EXPAND_TOP`` at which ``expand`` is pinned
-# for every index: the hops into the Schur bases, where they differ most
+# for every index: the hops into the Schur bases, where they differ most,
+# and in QSym and NSym the hops out of them, which read the SYCT counts
 _EXPAND_LARGE = {
     "sym": ((7, 8), (("h", "s"), ("m", "s"), ("e", "s"), ("p", "s"))),
-    "qsym": ((6, 7), (("F", "YQS"), ("F", "QS"))),
-    "nsym": ((7,), (("R", "YS"), ("R", "S"))),
+    "qsym": ((6, 7), (("F", "YQS"), ("F", "QS"), ("YQS", "F"), ("QS", "F"))),
+    "nsym": ((7,), (("R", "YS"), ("R", "S"), ("YS", "R"), ("S", "R"))),
 }
 # degrees above 4 at which each ``verify`` suite is pinned, text and JSON
 _VERIFY_LARGE = {
