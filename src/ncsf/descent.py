@@ -108,6 +108,7 @@ def check_permutation(seq) -> Permutation:
 
 def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     """(sigma . tau)(i) = sigma(tau(i))."""
+    sigma, tau = check_permutation(sigma), check_permutation(tau)
     if len(sigma) != len(tau):
         raise DegreeMismatchError(f"cannot compose degrees {len(sigma)} and {len(tau)}")
     return tuple(sigma[t - 1] for t in tau)
@@ -131,14 +132,13 @@ def cycle_type(sigma: Permutation) -> Partition:
 
 
 def descent_set_perm(sigma: Permutation) -> tuple[int, ...]:
+    sigma = check_permutation(sigma)
     return tuple(i + 1 for i in range(len(sigma) - 1) if sigma[i] > sigma[i + 1])
 
 
 def descent_composition_perm(sigma: Permutation) -> Composition:
-    sigma = check_permutation(sigma)
-    if not sigma:
-        return ()
-    return comp_of(descent_set_perm(sigma), len(sigma))
+    # descent_set_perm checks sigma; () is the one permutation of degree 0
+    return comp_of(descent_set_perm(sigma), len(sigma)) if sigma else ()
 
 
 def descent_classes(n: int) -> dict[tuple[int, ...], tuple[Permutation, ...]]:

@@ -9,10 +9,11 @@ Schur ``QS``, and Young quasisymmetric Schur ``YQS``.  The space is the
   M_beta; M -> F is its Moebius inverse, the same sum with the sign
   (-1)^(len(beta) - len(alpha)); a row is built directly from the supersets
   of alpha's cut mask, its canonical position;
-* YQS -> F has the SYCT counts: the (alpha, beta) entry counts SYCTs of
-  shape alpha with descent composition beta, found by counting chains in
-  the composition poset (``tableaux.dhat_rows``), a whole matrix D; F -> YQS
-  substitutes over the rows D reaches (D is unitriangular in some order);
+* D = YQS -> F has the SYCT counts: entry (alpha, beta) counts SYCTs of
+  shape alpha with descent composition beta, each row alone by counting
+  chains down from alpha in the composition poset (``tableaux.dhat_row``);
+  F -> YQS substitutes over the rows D reaches (D is unitriangular in some
+  order);
 * QS_alpha is the reversal image of YQS_(alpha reversed): QS -> F and
   F -> QS are the YQS hops with both indices reversed (``reversed_rows``).
 
@@ -22,7 +23,7 @@ and its partial inverse ``symmetric_part``.
 
 from functools import cache
 
-from ._linear import Element, Space, convert, dense_rows, served, stored_row
+from ._linear import Element, Space, convert, dense_rows, stored_row
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     Composition,
@@ -36,9 +37,8 @@ from .compositions import (
     underlying_partition,
 )
 from .errors import InternalConsistencyError
-from .linalg import identity
 from .sym import SymElement, sym_convert
-from .tableaux import dhat_rows
+from .tableaux import dhat_row
 
 __all__ = [
     "QSYM_BASES",
@@ -122,7 +122,8 @@ def _to_f_rows(basis: str, n: int) -> tuple:
     if basis == "M":
         return 1, _refinement_rows(n, True)
     if basis == "YQS":
-        return served(dhat_rows(n) if n else identity(1))
+        comps = compositions_of(n)
+        return 1, lambda a: stored_row(dhat_row(comps[a]))
     return reversed_rows(QSYM.to_hub("YQS", n), n)
 
 

@@ -22,21 +22,25 @@ k, in column k+1; taking the lowest-index row gives wrong counts from n=3.
 SYTs of shape lam are likewise the saturated chains from () to lam in
 Young's lattice, a cover adding a corner.  So both are one kind of tableau
 (``_Tableau``), each naming its shape checker and its cover rule undone,
-with one validator (``_is_chain``), one lister (``_chains``), one counter
-(``_count_chains``) and one descent rule: i is a descent when i+1 is in the
-column of i or further left, on an SYT exactly when it is in a higher row.
-None of them recurses, so no shape is too long for the recursion limit.
+the one form of that rule here, with one validator (``_is_chain``), one
+lister (``_chains``), one counter (``_count_chains``) and one descent rule:
+i is a descent when i+1 is in the column of i or further left, on an SYT
+exactly when it is in a higher row.  None of those three recurses, so no
+shape is too long for the recursion limit.  D = ``dhat_matrix``, the SYCT
+counts by descent composition, is built row by row (``dhat_row``) by a
+cached walk down from each shape (``_chain_ends``) that shares every shape
+below it, so a whole degree n counts each of the 2^n shapes of degree <= n
+once.  It recurses to depth n; its callers first list all 2^(n-1)
+compositions of n, so n stays far below the limit.
 The constructors check everything; the listers build what the chain walk
 made valid without a second check (``_Tableau._of``).  The tests check the
 chain test against the conditions of the definitions.  Semistandard fillings
 are counted by one walk, ``strip_counts``, for ``kostka_counts`` and h -> s.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
-from ._linear import dense_rows
 from .compositions import (
     Composition,
     Partition,
@@ -47,7 +51,6 @@ from .compositions import (
     underlying_partition,
 )
 from .errors import DegreeMismatchError, MalformedFillingError, ResourceLimitError
-from .linalg import Matrix, from_rows
 
 __all__ = [
     "CompositionDiagram",
@@ -84,7 +87,7 @@ class CompositionDiagram:
 
 def _syct_uncovers(shape: Composition):
     """The shapes ``shape`` covers, each with the cell (row, column) it lacks:
-    ``_covers`` undone."""
+    the cover rule of the composition poset, undone."""
     if shape and shape[-1] == 1:
         yield shape[:-1], (len(shape), 1)
     for i, k in enumerate(shape):
@@ -237,14 +240,6 @@ def _listing(kind: type[_Tableau], shape: tuple[int, ...]) -> tuple:
 enumerate_syct.cache_info = _listing.cache_info
 
 
-def _covers(shape: Composition):
-    """The covers of ``shape``, each with the column of its new cell."""
-    yield shape + (1,), 1
-    for i, k in enumerate(shape):
-        if k not in shape[i + 1 :]:
-            yield shape[:i] + (k + 1,) + shape[i + 1 :], k + 1
-
-
 # the shapes ``_count_chains`` may reach: below (1, ..., 9) lie 409,113,
 # below (1, ..., 10) 4,037,913
 _MAX_SHAPES = 500_000
@@ -289,34 +284,36 @@ def _chains(shape, uncovers) -> list:
 
 
 @cache
-def dhat_rows(n: int) -> Matrix:
-    """``dhat_matrix(n)`` as a stored sparse matrix, by counting chains.
+def _chain_ends(shape: Composition) -> dict:
+    """The saturated chains from () to ``shape``, counted by (column of the
+    cell holding |shape|, descent mask), bit i-1 of the mask set for descent
+    i: a walk down from ``shape`` that counts each shape below it once."""
+    if not shape:
+        return {(0, 0): 1}
+    m, ends = sum(shape), {}
+    for smaller, (_, col) in _syct_uncovers(shape):
+        for (last, mask), count in _chain_ends(smaller).items():
+            key = (col, mask | 1 << (m - 2) if col <= last else mask)
+            ends[key] = ends.get(key, 0) + count
+    return ends
 
-    A state (shape, column of the last cell) counts chains by descent mask,
-    bit i-1 for descent i; in canonical order a mask is its column's index.
-    """
-    if n < 1:
-        raise ValueError(f"degree must be positive: {n}")
-    level = {((1,), 1): {0: 1}}
-    for m in range(2, n + 1):
-        step = {}
-        for (shape, col), counts in level.items():
-            for state in _covers(shape):
-                bit = 1 << (m - 2) if state[1] <= col else 0
-                out = step.setdefault(state, {})
-                for mask, c in counts.items():
-                    out[mask | bit] = out.get(mask | bit, 0) + c
-        level = step
-    rows = {}
-    for (shape, _), counts in level.items():
-        rows.setdefault(shape, Counter()).update(counts)
-    return from_rows(map(rows.__getitem__, compositions_of(n)))
+
+def dhat_row(alpha: Composition) -> dict:
+    """Row ``alpha`` of ``dhat_matrix``, {descent mask: SYCTs of shape
+    ``alpha``}; in canonical order a mask is its column's index."""
+    row = {}
+    for (_, mask), count in _chain_ends(alpha).items():
+        row[mask] = row.get(mask, 0) + count
+    return row
 
 
 def dhat_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """Entry [shape][descent composition] counts SYCTs, both indices in
     canonical composition order."""
-    return dense_rows(dhat_rows(n))
+    if n < 1:
+        raise ValueError(f"degree must be positive: {n}")
+    comps = compositions_of(n)
+    return tuple(tuple(row.get(j, 0) for j in range(len(comps))) for row in map(dhat_row, comps))
 
 
 @cache

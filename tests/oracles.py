@@ -9,7 +9,9 @@ filter of a brute-force tableau enumeration), the row and column conditions
 of an SYT (the reference for the same chain test in Young's lattice), the
 row rule for the descents of an SYT, a backtracker that places n,
 n-1, ..., 1 under the same conditions (the reference for the library's
-chain listing of SYCTs and for the ``dhat`` matrix), a block walk for
+chain listing of SYCTs and for the ``dhat`` matrix), the forward walk up
+the composition poset by its cover rule (the reference for the library's
+walk down by that rule undone, and for its ``dhat`` rows), a block walk for
 refinement (the reference for cut-set inclusion), the full permutation sum
 for Jacobi-Trudi determinants, every assignment of parts to blocks (or a
 per-entry memoized count of them) for monomial coefficients of power sums,
@@ -32,8 +34,9 @@ the ribbon expansions of S and YS.  Sym's product is checked against the
 product taken in the power sums.  Every row the spaces build is checked
 against the whole-matrix builders they used before rows were built one at
 a time (``WHOLE_MATRIX_BUILDERS``): Sym's products over compositions and
-Newton recurrences in Fraction arithmetic, QSym's sums over refinements,
-and NSym's transposes and moved rows of QSym's matrices.
+Newton recurrences in Fraction arithmetic, QSym's sums over refinements
+and its forward walk for D (``dhat_by_covers``), and NSym's transposes
+and moved rows of QSym's matrices.
 """
 
 from collections import Counter
@@ -60,7 +63,7 @@ from ncsf._linear import convert, dense_rows
 from ncsf.compositions import composition_index, partition_index, refinements, reversal
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import Matrix, from_rows
-from ncsf.tableaux import CompositionDiagram, dhat_rows
+from ncsf.tableaux import CompositionDiagram
 
 # number of involutions in S_n for n = 1..7
 INVOLUTIONS = (1, 2, 4, 10, 26, 76, 232)
@@ -302,7 +305,7 @@ def syct_rows_by_backtracking(alpha) -> list:
 
 
 def dhat_by_enumeration(n: int):
-    """``dhat_rows(n)`` by listing every SYCT of each shape by backtracking
+    """D = ``dhat_matrix(n)``, stored, by listing every SYCT of each shape by backtracking
     and reading off its descent composition."""
     index = composition_index(n)
     return from_rows(
@@ -312,6 +315,38 @@ def dhat_by_enumeration(n: int):
         )
         for beta in compositions_of(n)
     )
+
+
+def _covers(shape):
+    """The covers of ``shape`` in the composition poset, each with the column
+    of its new cell: a new top row of length 1, or a cell added to the
+    highest-index row of each distinct length k, in column k+1."""
+    yield shape + (1,), 1
+    for i, k in enumerate(shape):
+        if k not in shape[i + 1 :]:
+            yield shape[:i] + (k + 1,) + shape[i + 1 :], k + 1
+
+
+def dhat_by_covers(n: int):
+    """D = ``dhat_matrix(n)``, stored, by the forward walk the library used
+    before its rows were built one shape at a time: level by level up from
+    (1), a state (shape, column of the last cell) counts chains by descent
+    mask, bit i-1 for descent i; in canonical order a mask is its column's
+    index."""
+    level = {((1,), 1): {0: 1}}
+    for m in range(2, n + 1):
+        step = {}
+        for (shape, col), counts in level.items():
+            for state in _covers(shape):
+                bit = 1 << (m - 2) if state[1] <= col else 0
+                out = step.setdefault(state, {})
+                for mask, c in counts.items():
+                    out[mask | bit] = out.get(mask | bit, 0) + c
+        level = step
+    rows = {}
+    for (shape, _), counts in level.items():
+        rows.setdefault(shape, Counter()).update(counts)
+    return from_rows(map(rows.__getitem__, compositions_of(n)))
 
 
 def sym_multiply_through_p(x, y):
@@ -795,7 +830,7 @@ def qsym_to_f_matrix(basis: str, n: int):
         )
         return matrix_of(rows, composition_index(n))
     if basis == "YQS":
-        return dhat_rows(n) if n else linalg.identity(1)
+        return dhat_by_covers(n) if n else linalg.identity(1)
     index = composition_index(n)
     yqs = qsym_to_f_matrix("YQS", n).rows
     reversed_at = [index[reversal(alpha)] for alpha in compositions_of(n)]

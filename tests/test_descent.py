@@ -46,6 +46,23 @@ def test_compose_convention():
     assert compose(sigma, tau) == (3, 2, 1)
 
 
+@pytest.mark.parametrize("sigma, tau", [((1, 1), (1, 2)), ((5, 9), (2, 1)), ((1, 2), (3, 1))])
+def test_compose_refuses_a_factor_that_is_not_a_permutation(sigma, tau):
+    with pytest.raises(ValueError, match="not a permutation"):
+        compose(sigma, tau)
+
+
+def test_compose_refuses_permutations_of_different_degrees():
+    with pytest.raises(DegreeMismatchError):
+        compose((1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize("descents", [descent_set_perm, descent_composition_perm])
+def test_descents_refuse_a_sequence_that_is_not_a_permutation(descents):
+    with pytest.raises(ValueError, match="not a permutation"):
+        descents((3, 3, 1))
+
+
 def test_cycle_type():
     assert cycle_type((1, 2, 3)) == (1, 1, 1)
     assert cycle_type((2, 1, 3)) == (2, 1)

@@ -27,13 +27,13 @@ import pytest
 
 from ncsf import sym
 from ncsf._linear import dense_rows, transition_matrix
-from ncsf.compositions import partitions_of
+from ncsf.compositions import compositions_of, partitions_of
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import Matrix, from_rows, matmul, transpose
 from ncsf.nsym import NSYM
 from ncsf.qsym import QSYM
 from ncsf.sym import SYM
-from ncsf.tableaux import dhat_rows
+from ncsf.tableaux import _chain_ends, dhat_row
 
 import oracles
 from oracles import (
@@ -51,7 +51,7 @@ DEGREES = range(1, 8)
 def _unitriangular(n):
     """Every matrix the builders invert by substitution, by name."""
     return {
-        "dhat": dhat_rows(n),
+        "dhat": from_rows(map(dhat_row, compositions_of(n))),
         "QS -> F": transition_matrix(QSYM, "QS", "F", n),
         "R in S": transition_matrix(NSYM, "R", "S", n),
         "R in YS": transition_matrix(NSYM, "R", "YS", n),
@@ -175,7 +175,7 @@ def test_building_the_matrices_makes_no_fraction(monkeypatch):
     for space in (SYM, QSYM, NSYM):
         space.to_hub.cache_clear()
         space.from_hub.cache_clear()
-    dhat_rows.cache_clear()
+    _chain_ends.cache_clear()
     made, new = [], Fraction.__new__
 
     def counted(cls, *args, **kwargs):
@@ -188,7 +188,7 @@ def test_building_the_matrices_makes_no_fraction(monkeypatch):
             for source in space.bases:
                 for target in space.bases:
                     transition_matrix(space, source, target, n)
-        for m in _unitriangular(n).values():  # dhat_rows among them
+        for m in _unitriangular(n).values():  # D's rows among them
             invert_unitriangular(m)
     assert made == []
 

@@ -5,19 +5,22 @@ For every space, basis and direction at n <= 8, each row read from a cold
 cache equals that row of the whole matrix built the way the library built
 it before rows were the unit (``oracles.WHOLE_MATRIX_BUILDERS``), and the
 read builds what the hop's kind says, counted by the whole matrices built
-(``dhat_rows``, ``transpose``, ``matmul``) and the rows held: a row alone
-builds no whole matrix and holds one row; a row over its closure (QSym
-F -> YQS, and F -> QS through it) builds only D = YQS -> F and the rows of
-F -> YQS that D reaches; a hop served whole builds a whole matrix on its
-first read.  A conversion builds exactly the rows of the support it
-carries, and ``transition_matrix`` builds each row once and stores those
-same rows.  No library module inverts a matrix: QSym and NSym together
-build one ``dhat_rows`` matrix and two transposes per degree.  Sym's Pieri
-rows of h -> s equal the inverse of the Jacobi-Trudi matrix at n <= 12,
-QSym's substitution rows of F -> YQS the whole inverse of D at n <= 10,
-and a D that is not unitriangular is refused, by the row builder and by
-``ncsf expand`` with exit code 3.  One h -> s row at n = 20 builds no
-Jacobi-Trudi row, and one F -> YQS row at n = 12 less than the whole hop.
+(``transpose``, ``matmul``) and the rows held: a row alone builds no whole
+matrix and holds one row (among them each row of D = YQS -> F, and of
+QS -> F through it); a row over its closure (QSym F -> YQS, and F -> QS
+through it) builds no whole matrix, only the rows of D and of F -> YQS
+that D reaches; a hop served whole builds a whole matrix on its first
+read.  A conversion builds exactly the rows of the support it carries,
+and ``transition_matrix`` builds each row once and stores those same
+rows.  No library module inverts a matrix, and QSym and NSym together
+build two transposes per degree, both NSym's.  Sym's Pieri rows of h -> s
+equal the inverse of the Jacobi-Trudi matrix at n <= 12, QSym's
+substitution rows of F -> YQS the whole inverse of D at n <= 10, and a D
+that is not unitriangular is refused, by the row builder and by ``ncsf
+expand`` with exit code 3.  One h -> s row at n = 20 builds no
+Jacobi-Trudi row, one F -> YQS row at n = 14 only the 1,433 rows of D it
+reaches, and the whole of D at n = 9 walks each of the 2^9 shapes of
+degree <= 9 once.
 At degrees whose whole h -> p matrix would take seconds, the Young and
 irreducible characters read only the rows they name and equal the block
 counts and the Murnaghan-Nakayama values.  Sym's e_r rows, counted by
@@ -48,11 +51,10 @@ from ncsf._linear import Hop, transition_matrix
 from ncsf.cli import main
 from ncsf.compositions import composition_index, compositions_of, reversal
 from ncsf.errors import InternalConsistencyError
-from ncsf.linalg import from_rows
 from ncsf.nsym import NSYM
 from ncsf.qsym import QSYM
 from ncsf.sym import SYM, _alternating_row
-from ncsf.tableaux import dhat_rows
+from ncsf.tableaux import _chain_ends, dhat_row
 
 from oracles import (
     WHOLE_MATRIX_BUILDERS,
@@ -70,7 +72,7 @@ SPACES = (SYM, QSYM, NSYM)
 ALONE = {
     ("Sym", "to"): ("e", "p", "s"),
     ("Sym", "from"): ("e", "p", "s"),
-    ("QSym", "to"): ("M",),
+    ("QSym", "to"): ("M", "YQS", "QS"),
     ("QSym", "from"): ("M",),
     ("NSym", "to"): ("E", "H"),
     ("NSym", "from"): ("E", "H"),
@@ -79,7 +81,7 @@ ALONE = {
 # F -> QS as its rows with both indices reversed; every other hop is served
 # by a whole matrix
 CLOSURE = {("QSym", "from"): ("YQS", "QS")}
-WHOLE_BUILDERS = ("dhat_rows", "transpose", "matmul")
+WHOLE_BUILDERS = ("transpose", "matmul")
 
 
 def _cold():
@@ -175,11 +177,10 @@ def test_each_row_read_from_a_cold_cache_is_that_row_of_the_whole_matrix(
                 a = i if basis == "YQS" else composition_index(n)[reversal(space.indices(n)[i])]
                 assert set(QSYM.from_hub("YQS", n)) == _closure(n, a), (basis, i)
                 assert len(rows) == 1 or basis == "YQS", (basis, i)
-                assert {name for name, _ in whole_builds} <= {"dhat_rows"}, (basis, i)
-            else:  # served whole: built on the first read, at n = 0 QSym's
-                # YQS -> F is the identity, built by none of the counted builders
+                assert not whole_builds, (basis, i)
+            else:  # served whole: built on the first read
                 assert len(rows) == read, (way, basis)
-                assert bool(whole_builds) == (read == 1 and (n > 0 or space is not QSYM))
+                assert bool(whole_builds) == (read == 1)
 
 
 def _counting(hop) -> Counter:
@@ -228,9 +229,9 @@ def test_no_library_module_inverts_a_matrix():
             assert origin != "graphlib", module.__name__
 
 
-def test_each_degree_builds_one_dhat_matrix_and_two_nsym_transposes(whole_builds):
-    # F -> YQS reads D's rows; QS, S and YS read those hops reversed,
-    # transposed or both
+def test_each_degree_builds_two_nsym_transposes(whole_builds):
+    # QSym builds D and F -> YQS row by row, QS reads those rows reversed;
+    # YS transposes both whole matrices, and S reads YS's hops reversed
     _cold()
     for space in (QSYM, NSYM):
         for n in range(1, 7):
@@ -238,8 +239,14 @@ def test_each_degree_builds_one_dhat_matrix_and_two_nsym_transposes(whole_builds
                 transition_matrix(space, *pair, n)
     # a product assembles a two-hop transition matrix; it builds no hop
     built = Counter({key: count for key, count in whole_builds.items() if key[0] != "matmul"})
-    per_degree = {"dhat_rows": 1, "transpose": 2}
-    assert built == {(name, 2 ** (n - 1)): c for n in range(1, 7) for name, c in per_degree.items()}
+    assert built == {("transpose", 2 ** (n - 1)): 2 for n in range(1, 7)}
+
+
+def test_the_whole_of_d_walks_each_shape_below_its_degree_once():
+    _cold()
+    _chain_ends.cache_clear()
+    transition_matrix(QSYM, "YQS", "F", 9)
+    assert _chain_ends.cache_info().misses == 2**9
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -258,21 +265,15 @@ def test_substitution_rows_are_the_whole_inverse_of_d(n):
         assert hop[i] == want.rows[i], i
 
 
-def _with_entry(m, i, j, x):
-    """The stored matrix ``m`` with entry (i, j) set to ``x``."""
-    rows = [dict(zip(*row)) for row in m.rows]
-    rows[i][j] = x
-    return from_rows(rows, m.den)
-
-
 @pytest.mark.parametrize("guard", ("diagonal", "cycle"))
 def test_substitution_rows_refuse_a_d_that_is_not_unitriangular(guard, monkeypatch, capsys):
-    n, d = 4, dhat_rows(4)
-    a, b = next((a, cols[-1]) for a, (cols, _) in enumerate(d.rows) if cols[-1] != a)
+    n, comps = 4, compositions_of(4)
+    a, b = next((a, max(row)) for a, row in enumerate(map(dhat_row, comps)) if max(row) != a)
     # a unit diagonal entry made 2, or the entry that closes the cycle a -> b -> a
-    bad = _with_entry(d, a, a, 2) if guard == "diagonal" else _with_entry(d, b, a, 1)
-    monkeypatch.setattr(qsym, "dhat_rows", lambda m: bad if m == n else dhat_rows(m))
-    label = ",".join(map(str, compositions_of(n)[a]))
+    i, j, x = (a, a, 2) if guard == "diagonal" else (b, a, 1)
+    bad = {comps[i]: dhat_row(comps[i]) | {j: x}}
+    monkeypatch.setattr(qsym, "dhat_row", lambda alpha: bad.get(alpha) or dhat_row(alpha))
+    label = ",".join(map(str, comps[a]))
     _cold()
     try:
         with pytest.raises(InternalConsistencyError, match=guard):
@@ -294,16 +295,16 @@ def test_one_h_to_s_row_builds_no_jacobi_trudi_row():
     assert len(SYM.from_hub("s", 20)) == 2 and not SYM.to_hub("s", 20)
 
 
-def test_one_f_to_yqs_row_builds_less_than_the_whole_hop():
+def test_one_f_to_yqs_row_builds_only_the_rows_of_d_it_reaches():
     _cold()
-    a = composition_index(12)[3, 2, 4, 1, 2]
-    hop, d = QSYM.from_hub("YQS", 12), dhat_rows(12).rows
+    a = composition_index(14)[3, 2, 4, 1, 2, 2]
+    hop, d = QSYM.from_hub("YQS", 14), QSYM.to_hub("YQS", 14)
     identity_row = Counter()  # row a of (F -> YQS)(YQS -> F)
     for b, x in zip(*hop[a]):
         for j, y in zip(*d[b]):
             identity_row[j] += x * y
     assert +identity_row == {a: 1}
-    assert len(hop) < 2**11
+    assert len(hop) == len(d) == 1433  # of 8,192
 
 
 LARGE_CYCLE_TYPES = ((24,), (12, 12), (8, 8, 8), (4,) * 6, (1,) * 24)

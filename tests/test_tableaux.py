@@ -23,17 +23,19 @@ from ncsf.tableaux import (
     CompositionDiagram,
     _chains,
     _count_chains,
-    _covers,
     _is_chain,
     _syct_uncovers,
     _syt_uncovers,
-    dhat_rows,
+    dhat_row,
 )
+from ncsf.linalg import from_rows
 
 from oracles import (
     INVOLUTIONS,
     brute_force_syct_rows,
+    _covers,
     descent_composition_by_rows,
+    dhat_by_covers,
     dhat_by_enumeration,
     hook_length_count,
     invert,
@@ -234,15 +236,30 @@ def test_dhat_matrix_invertible():
         invert(tuple(tuple(x for x in row) for row in dhat_matrix(n)))
 
 
+def _dhat(n):
+    """D = ``dhat_matrix(n)``, stored, from its rows."""
+    return from_rows(map(dhat_row, compositions_of(n)))
+
+
+def test_dhat_matrix_refuses_degree_zero():
+    with pytest.raises(ValueError, match="positive"):
+        dhat_matrix(0)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_chain_count_equals_syct_enumeration(n):
-    assert dhat_rows(n) == dhat_by_enumeration(n)
+    assert _dhat(n) == dhat_by_enumeration(n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dhat_rows_walked_down_equal_the_forward_walk_by_covers(n):
+    assert _dhat(n) == dhat_by_covers(n)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_syct_count_per_shape_equals_the_enumeration_and_the_dhat_row_sum(n):
-    row_sums = [sum(vals) for _, vals in dhat_rows(n).rows] if n else [1]
-    for alpha, row_sum in zip(compositions_of(n), row_sums):
+    for alpha in compositions_of(n):
+        row_sum = sum(dhat_row(alpha).values())
         assert _count_chains(alpha, _syct_uncovers) == len(enumerate_syct(alpha)) == row_sum
 
 
@@ -251,11 +268,11 @@ def test_chain_count_at_degrees_beyond_the_enumeration(n):
     """Each SYT of shape lam is rho_bar of exactly one SYCT whose shape
     rearranges lam, so the row sums over those shapes give f^lam."""
     by_shape = {}
-    for beta, (_, vals) in zip(compositions_of(n), dhat_rows(n).rows):
+    for beta in compositions_of(n):
         lam = underlying_partition(beta)
-        by_shape[lam] = by_shape.get(lam, 0) + sum(vals)
+        by_shape[lam] = by_shape.get(lam, 0) + sum(dhat_row(beta).values())
     assert by_shape == {lam: hook_length_count(lam) for lam in partitions_of(n)}
-    invert_unitriangular(dhat_rows(n))
+    invert_unitriangular(_dhat(n))
 
 
 def _without_last_cell(shape, row):
