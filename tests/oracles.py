@@ -305,8 +305,8 @@ def syct_rows_by_backtracking(alpha) -> list:
 
 
 def dhat_by_enumeration(n: int):
-    """D = ``dhat_matrix(n)``, stored, by listing every SYCT of each shape by backtracking
-    and reading off its descent composition."""
+    """D = ``dhat_matrix(n)``, stored, by listing every SYCT of each shape
+    by backtracking and reading off its descent composition."""
     index = composition_index(n)
     return from_rows(
         Counter(
