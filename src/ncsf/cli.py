@@ -7,12 +7,19 @@ values), and ``verify`` (the named exact-identity suites).
 
 Exit codes: 0 success / all checks passed, 1 some verification check
 failed, 2 usage, parse, or resource errors, 3 a broken internal invariant
-(``InternalConsistencyError``, a bug).  Indices are comma-separated
-positive integers with the empty composition spelled ``0``.  All numeric
-output is exact-rational text.
+(``InternalConsistencyError``, a bug), and from ``run`` 141 when stdout's
+reader leaves early.  Indices are comma-separated positive integers with
+the empty composition spelled ``0``.  All numeric output is exact-rational
+text.
+
+``main`` parses a canonical command line by the table ``_GRAMMAR``.  The
+rest (help, abbreviations, ``--opt=value``, ``--``, errors) goes to
+``build_parser``, which writes all help and usage text; the tests hold the
+direct parse to it.
 """
 
 import argparse
+import os
 import sys
 
 from . import serialize
@@ -208,8 +215,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``build_parser`` as a table: choices and converters by dest, the flags (they
+# store True), and by command: the positional's dest, option -> dest, every default
+# argparse sets (a dest with none is required), one-of groups -> how many are needed
+_CHOICES = {"space": tuple(SPACES), "format": ("json", "csv"), "kind": ("syct", "syt"), "suite": SUITES}
+_CONVERT, _FLAGS = {"n": int}, {"--count", "--list", "--json"}
+_BASES = {"--space": "space", "--from": "source", "--to": "target"}
+_GRAMMAR = {
+    "expand": (None, {**_BASES, "--index": "index"}, {"handler": _cmd_expand}, {}),
+    "matrix": (None, {**_BASES, "-n": "n", "--format": "format"},
+               {"handler": _cmd_matrix, "format": "json"}, {}),
+    "tableaux": ("kind", {"--shape": "shape", "--count": "count", "--list": "list"},
+                 {"handler": _cmd_tableaux, "count": True, "list": False}, {("count", "list"): 0}),
+    "char": (None, {"--young": "young", "--irreducible": "irreducible"},
+             {"handler": _cmd_char, "young": None, "irreducible": None}, {("young", "irreducible"): 1}),
+    "verify": ("suite", {"-n": "n", "--json": "json"}, {"handler": _cmd_verify, "json": False}, {}),
+}
+
+
+def _parse_direct(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, when argv is
+    canonical: the command first, each option in full and once, its value in
+    the next token and not led by ``-``; None for any other argv."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    positional, options, defaults, groups = _GRAMMAR[argv[0]]
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest = options[token]
+            value = True if token in _FLAGS else next(tokens, "-")  # a missing value reads as "-"
+        else:
+            dest, value = positional, token
+        if dest is None or dest in given or (value is not True and value.startswith("-")):
+            return None
+        try:
+            value = _CONVERT[dest](value) if dest in _CONVERT else value
+        except ValueError:
+            return None
+        if value not in _CHOICES.get(dest, (value,)):
+            return None
+        given[dest] = value
+    missing = {*options.values(), positional} - given.keys() - defaults.keys() - {None}
+    if missing or any(not least <= len(given.keys() & group) <= 1 for group, least in groups.items()):
+        return None
+    return argparse.Namespace(command=argv[0], **{**defaults, **given})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_direct(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (NcsfError, ValueError) as exc:
@@ -218,4 +272,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early: quiet the exit-time flush, exit 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -7,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from ncsf.cli import main
+from ncsf.cli import _parse_direct, build_parser, main
 from ncsf.errors import InternalConsistencyError
 from ncsf.serialize import to_json
 from ncsf.characters import Check, VerificationReport
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
 def _child_env(**overrides):
@@ -325,10 +329,116 @@ def test_negative_env_bound_is_refused(capsys, monkeypatch):
     assert "NCSF_MAX_N must be a nonnegative integer" in err
 
 
-def test_usage_error_exits_two():
+def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["expand", "--space", "plasma"])
     assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ncsf expand [-h] --space {sym,qsym,nsym}")
+    assert "ncsf expand: error: argument --space: invalid choice: 'plasma'" in err
+
+
+def test_an_abbreviated_option_is_parsed_by_argparse(capsys):
+    assert run_cli(capsys, "char", "--irr", "2,1") == run_cli(capsys, "char", "--irreducible", "2,1")
+
+
+# One canonical line per command: its command, then its positional and
+# options as groups of tokens.
+_CANONICAL = {
+    "expand": [("--space", "qsym"), ("--from", "QS"), ("--to", "F"), ("--index", "1,3")],
+    "matrix": [("--space", "qsym"), ("--from", "F"), ("--to", "M"), ("-n", "2"), ("--format", "csv")],
+    "tableaux": [("syct",), ("--shape", "3,1"), ("--list",)],
+    "char": [("--irreducible", "2,1")],
+    "verify": [("main-theorem",), ("-n", "3"), ("--json",)],
+}
+
+
+def _line(command, groups) -> list:
+    return [command, *itertools.chain.from_iterable(groups)]
+
+
+def _variants(command, groups):
+    """Lines near the canonical one, most of them not canonical: each group
+    dropped, repeated, given a bad or dash-led value or none, abbreviated,
+    joined by ``=``, or after ``--``; a stray token; and help."""
+    for i, group in enumerate(groups):
+        rest = groups[:i] + groups[i + 1 :]
+        yield _line(command, rest)
+        yield _line(command, groups + [group])
+        yield from (_line(command, rest + [group[:-1] + (bad,)]) for bad in ("x", "-x", "-1"))
+        yield _line(command, rest + [group[:1]])
+        yield _line(command, [group[:1]] + rest)
+        yield _line(command, groups[:i] + [("--",)] + groups[i:])
+        if group[0].startswith("--"):
+            yield _line(command, rest + [(group[0][:-1],) + group[1:]])
+            yield _line(command, rest + [("=".join(group),)])
+    yield from ([command, flag] for flag in ("-h", "--help"))
+    yield _line(command, groups + [("-h",)])
+    yield _line(command, groups + [("x",)])
+
+
+# Lines that argparse refuses or reads as help, or that abbreviate an option
+_NOT_CANONICAL = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["plasma"],
+    ["--", "char", "--young", "2"],
+    ["char", "--young", "2,1", "--irreducible", "2,1"],
+    ["tableaux", "syt", "--shape", "2,1", "--count", "--list"],
+    ["tableaux", "syt", "--shape", "2,1", "--list", "--count"],
+    ["char", "--irr", "2,1"],
+]
+
+
+def _argparse(parser, argv):
+    """argparse's namespace for argv, or None where it exits (help or an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("command", sorted(_CANONICAL))
+def test_direct_parse_agrees_with_argparse_near_a_canonical_line(command):
+    parser = build_parser()
+    groups = _CANONICAL[command]
+    for order in itertools.permutations(groups):
+        argv = _line(command, order)
+        assert _parse_direct(argv) == _argparse(parser, argv) is not None, argv
+    for argv in _variants(command, groups):  # where argparse exits, only None agrees
+        got = _parse_direct(argv)
+        assert got is None or got == _argparse(parser, argv), argv
+
+
+@pytest.mark.parametrize("argv", _NOT_CANONICAL)
+def test_a_line_that_is_not_canonical_is_left_to_argparse(argv):
+    assert _parse_direct(argv) is None
+
+
+def test_direct_parse_agrees_with_argparse_on_every_golden_line():
+    parser = build_parser()
+    for argv in (key.split(" ") for key in json.loads(GOLDEN.read_text())):
+        assert _parse_direct(argv) == _argparse(parser, argv) is not None, argv
+
+
+def test_a_reader_that_leaves_early_gets_exit_141_and_no_traceback():
+    # the degree-9 matrix is about 350 kB of JSON, far more than a pipe holds
+    argv = ["matrix", "--space", "qsym", "--from", "M", "--to", "F", "-n", "9"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ncsf", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=_child_env(NCSF_MAX_N="9"),
+    )
+    assert child.stdout.read(20).startswith(b"{")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_installed_entry_point_runs():

@@ -16,6 +16,9 @@ partition of n <= 8 (``--count`` and ``--list``), ``tableaux syct --list``
 for every composition of 6, and a few refusals.  One more test checks QSym's M -> F
 matrix at n = 10 entry by entry against the Moebius sign sum.
 
+Every command line here is canonical, so ``main`` parses it without
+argparse: the test runs them with ``ncsf.cli.build_parser`` made to raise.
+
 To record the digests again (only when an output is meant to change):
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
@@ -30,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+import ncsf.cli
 from ncsf.cli import main
 from ncsf.compositions import compositions_of, partitions_of
 
@@ -178,7 +182,11 @@ def _record() -> None:
 
 @pytest.mark.parametrize("group", sorted(_commands()))
 def test_cli_output_matches_golden(group, monkeypatch):
+    def no_argparse():
+        raise AssertionError("a canonical command line was parsed by argparse")
+
     monkeypatch.delenv("NCSF_MAX_N", raising=False)
+    monkeypatch.setattr(ncsf.cli, "build_parser", no_argparse)
     golden = json.loads(GOLDEN.read_text())
     mismatched = []
     for argv in _commands()[group]:
