@@ -50,16 +50,21 @@ _SUITES = ("main-theorem", "duality", "solomon", "square", "all")
 # degrees above 5 at which every ``matrix`` basis pair is pinned, in JSON
 _LARGE = {"sym": (6, 7), "qsym": (6,), "nsym": (6,)}
 # further degrees at which every pair of distinct bases is pinned, in JSON
-_DISTINCT_LARGE = {"sym": (), "qsym": (7,), "nsym": (7, 8)}
+_DISTINCT_LARGE = {"sym": (8,), "qsym": (7,), "nsym": (7, 8)}
 # the tableau-count conversions pinned in JSON at degree 8
 _CONVERT = {"qsym": (("YQS", "F"), ("QS", "F"), ("F", "YQS"))}
 # the largest degree at which ``expand`` is pinned for every basis pair and index
 _EXPAND_TOP = {"sym": 5, "qsym": 5, "nsym": 6}
 # (degrees, basis pairs) above ``_EXPAND_TOP`` at which ``expand`` is pinned
 # for every index: the hops into the Schur bases, where they differ most,
-# and in QSym and NSym the hops out of them, which read the SYCT counts
+# and the hops out of them: Sym's s -> h rows, and in QSym and NSym the rows
+# that read the SYCT counts
 _EXPAND_LARGE = {
-    "sym": ((7, 8), (("h", "s"), ("m", "s"), ("e", "s"), ("p", "s"))),
+    "sym": (
+        (7, 8),
+        (("h", "s"), ("m", "s"), ("e", "s"), ("p", "s"))
+        + (("s", "h"), ("s", "m"), ("s", "p"), ("s", "e")),
+    ),
     "qsym": ((6, 7), (("F", "YQS"), ("F", "QS"), ("YQS", "F"), ("QS", "F"))),
     "nsym": ((7,), (("R", "YS"), ("R", "S"), ("YS", "R"), ("S", "R"))),
 }
