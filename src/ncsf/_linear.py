@@ -11,7 +11,8 @@ matrix takes the one route ``_route`` gives, through the hub: a conversion
 reads only the rows of the support it carries, and ``transition_matrix``
 assembles the same rows into a stored sparse ``linalg.Matrix``.  A space
 module supplies only the row builders and its own operations, among
-them the product rules of its bases (``multiply``).
+them the product rules of its bases (``multiply``); the rows of the
+inverse of a unitriangular hop are the core's (``substitution_rows``).
 
 Rows are applied in one place, in three steps: each degree's terms are put
 over their least common denominator (``_integers``), the ``int`` vector is
@@ -41,7 +42,7 @@ from functools import cache
 from math import lcm
 from typing import Callable, ClassVar
 
-from .errors import BasisMismatchError
+from .errors import BasisMismatchError, InternalConsistencyError
 from .linalg import Matrix, identity, matmul
 
 _SCALARS = (int, Fraction)
@@ -156,6 +157,34 @@ class Hop(dict):
     def __missing__(self, i):
         row = self[i] = self.build(i)
         return row
+
+
+def substitution_rows(known: Hop, inverse: Callable, label: str) -> tuple:
+    """The denominator and row builder of X, the inverse of the unitriangular
+    hop ``known`` = K: row a is e_a less K[a][b] times row b of X for each
+    b != a, read through X's own cached hop ``inverse()`` (read per row: it
+    is not cached while it is made), so a row builds the rows of X that K
+    reaches, once each.  A K with a diagonal entry other than 1 or a cycle
+    off the diagonal raises ``InternalConsistencyError`` naming ``label``."""
+    pending = set()
+
+    def row(a):
+        if a in pending:
+            raise InternalConsistencyError(f"{label} has a cycle off the diagonal")
+        after = dict(zip(*known[a]))
+        if after.pop(a, 0) != 1:
+            raise InternalConsistencyError(f"{label} has a diagonal entry other than 1")
+        out, x = {a: 1}, inverse()
+        pending.add(a)
+        try:
+            for b, c in after.items():
+                for col, y in zip(*x[b]):
+                    out[col] = out.get(col, 0) - c * y
+            return stored_row(out)
+        finally:
+            pending.discard(a)
+
+    return 1, row
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ Schur ``QS``, and Young quasisymmetric Schur ``YQS``.  The space is the
   shape alpha with descent composition beta, each row alone by counting
   chains down from alpha in the composition poset (``tableaux.dhat_row``);
   F -> YQS substitutes over the rows D reaches (D is unitriangular in some
-  order);
+  order; ``_linear.substitution_rows``);
 * QS_alpha is the reversal image of YQS_(alpha reversed): QS -> F and
   F -> QS are the YQS hops with both indices reversed (``reversed_rows``).
 
@@ -23,7 +23,7 @@ and its partial inverse ``symmetric_part``.
 
 from functools import cache
 
-from ._linear import Element, Space, convert, dense_rows, stored_row
+from ._linear import Element, Space, convert, dense_rows, stored_row, substitution_rows
 from ._linear import transition_matrix as _transition_matrix
 from .compositions import (
     Composition,
@@ -36,7 +36,6 @@ from .compositions import (
     submasks,
     underlying_partition,
 )
-from .errors import InternalConsistencyError
 from .sym import SymElement, sym_convert
 from .tableaux import dhat_row
 
@@ -93,31 +92,6 @@ def reversed_rows(hop, n: int) -> tuple:
     return hop.den, lambda a: stored_row({at[b]: x for b, x in zip(*hop[at[a]])})
 
 
-def _substitution_rows(n: int):
-    """Row alpha of F -> YQS, the inverse of the unitriangular D = YQS -> F:
-    e_alpha less D[alpha][beta] times row beta for each beta != alpha, read
-    from the hop itself, so a row builds the rows D reaches, once each."""
-    pending = set()
-
-    def row(a):
-        if a in pending:
-            raise InternalConsistencyError(f"degree-{n} YQS -> F has a cycle off the diagonal")
-        after = dict(zip(*QSYM.to_hub("YQS", n)[a]))
-        if after.pop(a, 0) != 1:
-            raise InternalConsistencyError(f"degree-{n} YQS -> F has a diagonal entry other than 1")
-        out, x = {a: 1}, QSYM.from_hub("YQS", n)  # read here: not cached while it is made
-        pending.add(a)
-        try:
-            for b, c in after.items():
-                for col, y in zip(*x[b]):
-                    out[col] = out.get(col, 0) - c * y
-            return stored_row(out)
-        finally:
-            pending.discard(a)
-
-    return 1, row
-
-
 def _to_f_rows(basis: str, n: int) -> tuple:
     if basis == "M":
         return 1, _refinement_rows(n, True)
@@ -131,7 +105,8 @@ def _from_f_rows(basis: str, n: int) -> tuple:
     if basis == "M":
         return 1, _refinement_rows(n, False)
     if basis == "YQS":
-        return _substitution_rows(n)
+        hop = lambda: QSYM.from_hub("YQS", n)
+        return substitution_rows(QSYM.to_hub("YQS", n), hop, f"degree-{n} YQS -> F")
     return reversed_rows(QSYM.from_hub("YQS", n), n)
 
 

@@ -10,8 +10,10 @@ rows built here once and cached.  Row lam is built directly for
 * e <-> h and p <-> h, the product over the parts r of lam of e_r in h
   (an alternating sum over compositions), p_r in h (the Newton recurrence
   r*h_r = sum_k p_k h_{r-k}) or h_r = sum over mu of p_mu / z_mu in p,
-* s -> h, the Jacobi-Trudi determinant, and h -> s, the Kostka column
-  K_(. lam) by the Pieri rule, a strip per part (``tableaux.strip_counts``);
+* h -> s, the Kostka column K_(. lam) by the Pieri rule, a strip per part
+  (``tableaux.strip_counts``), and s -> h by substitution over the Pieri
+  rows: K_(lam mu) is 0 unless lam dominates mu, so row lam is built over
+  the rows of the partitions dominating lam (``_linear.substitution_rows``);
 
 m <-> h are whole matrices, by Hall duality (h and m are dual, the Schur
 functions orthonormal): m in s is s in h transposed, s in m is h in s
@@ -30,7 +32,7 @@ from functools import cache
 from math import factorial, prod
 
 from ._linear import Element, Space, convert, dense_rows, multiply, served, stored_row
-from ._linear import transition_matrix as _transition_matrix
+from ._linear import substitution_rows, transition_matrix as _transition_matrix
 from .compositions import Partition, _z_table, check_partition, partition_index, partitions_of
 from .linalg import matmul, transpose
 from .tableaux import strip_counts
@@ -81,31 +83,6 @@ def _h_in_p(r: int) -> dict:
     return {i: factorial(r) // z for i, z in enumerate(_z_table(r))}
 
 
-def _jacobi_trudi_h(lam: Partition) -> dict:
-    """det(h_{lam_i - i + j}) expanded as a signed sum over the permutations
-    whose every h index is nonnegative, h-indexed.  Rows are assigned
-    columns depth first; taking the free column of rank r flips the sign r
-    times, once per smaller free column left for a later row.  Row k needs
-    a column j >= k - lam[k], a bound that grows with k, so a branch that
-    leaves a column free below the next row's bound is dropped: every
-    branch taken ends in a term."""
-    out = {}
-
-    def expand(i, free, sign, exps):
-        if i == len(lam):
-            idx = tuple(sorted((e for e in exps if e), reverse=True))
-            out[idx] = out.get(idx, 0) + sign
-            return
-        for rank, j in enumerate(free):
-            rest = free[:rank] + free[rank + 1 :]
-            if rest and rest[0] < i + 1 - lam[i + 1]:
-                continue
-            expand(i + 1, rest, -sign if rank % 2 else sign, exps + (lam[i] - i + j,))
-
-    expand(0, tuple(range(len(lam))), 1, ())
-    return {k: v for k, v in out.items() if v}
-
-
 def _multiplicative(generator_row, n: int, scale=lambda lam: 1):
     """The builder of row lam: ``scale(lam)`` times the product over the
     parts r of lam of ``generator_row(r)``, merged on positions."""
@@ -126,11 +103,9 @@ def _to_h_rows(basis: str, n: int) -> tuple:
         return 1, _multiplicative(_alternating_row, n)
     if basis == "p":
         return 1, _multiplicative(_p_in_h, n)
-    if basis == "s":
-        parts, index = partitions_of(n), partition_index(n)
-        return 1, lambda i: stored_row(
-            {index[idx]: c for idx, c in _jacobi_trudi_h(parts[i]).items()}
-        )
+    if basis == "s":  # the inverse of the Pieri rows, over its closure
+        hop = lambda: SYM.to_hub("s", n)
+        return substitution_rows(SYM.from_hub("s", n), hop, f"degree-{n} h -> s")
     s_in_h = _transition_matrix(SYM, "s", "h", n)
     return served(matmul(transpose(s_in_h), s_in_h))  # m in s, then s in h
 
@@ -203,8 +178,9 @@ def sym_multiply(x: SymElement, y: SymElement) -> SymElement:
 
 
 def schur(lam) -> SymElement:
-    """The Schur function of shape ``lam``, in the h basis, via Jacobi-Trudi."""
-    return SymElement("h", dict(_jacobi_trudi_h(check_partition(lam))))
+    """The Schur function of shape ``lam`` in the h basis: its s -> h row,
+    substituted over the Pieri rows of h -> s."""
+    return convert(sym_basis_element("s", lam), "h")
 
 
 def transition_matrix(source: str, target: str, n: int) -> tuple:

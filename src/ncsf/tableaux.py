@@ -28,10 +28,11 @@ i is a descent when i+1 is in the column of i or further left, on an SYT
 exactly when it is in a higher row.  None of those three recurses, so no
 shape is too long for the recursion limit.  D = ``dhat_matrix``, the SYCT
 counts by descent composition, is built row by row (``dhat_row``) by a
-cached walk down from each shape (``_chain_ends``) that shares every shape
-below it, so a whole degree n counts each of the 2^n shapes of degree <= n
-once.  It recurses to depth n; its callers first list all 2^(n-1)
-compositions of n, so n stays far below the limit.
+walk down from each shape that shares every shape below it (cached in
+``_chain_ends``), so a whole degree n counts each of the 2^n shapes of
+degree <= n once and keeps only those of degree < n.  It recurses to
+depth n; its callers first list all 2^(n-1) compositions of n, so n
+stays far below the limit.
 The constructors check everything; the listers build what the chain walk
 made valid without a second check (``_Tableau._of``).  The tests check the
 chain test against the conditions of the definitions.  Semistandard fillings
@@ -283,11 +284,11 @@ def _chains(shape, uncovers) -> list:
     return sorted(found)
 
 
-@cache
-def _chain_ends(shape: Composition) -> dict:
+def _ends(shape: Composition) -> dict:
     """The saturated chains from () to ``shape``, counted by (column of the
     cell holding |shape|, descent mask), bit i-1 of the mask set for descent
-    i: a walk down from ``shape`` that counts each shape below it once."""
+    i: a walk down from ``shape`` through ``_chain_ends``, the cache of the
+    same walk, so each shape below it is walked once; ``shape`` is not kept."""
     if not shape:
         return {(0, 0): 1}
     m, ends = sum(shape), {}
@@ -298,11 +299,14 @@ def _chain_ends(shape: Composition) -> dict:
     return ends
 
 
+_chain_ends = cache(_ends)
+
+
 def dhat_row(alpha: Composition) -> dict:
     """Row ``alpha`` of ``dhat_matrix``, {descent mask: SYCTs of shape
     ``alpha``}; in canonical order a mask is its column's index."""
     row = {}
-    for (_, mask), count in _chain_ends(alpha).items():
+    for (_, mask), count in _ends(alpha).items():
         row[mask] = row.get(mask, 0) + count
     return row
 

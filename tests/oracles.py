@@ -12,9 +12,11 @@ n-1, ..., 1 under the same conditions (the reference for the library's
 chain listing of SYCTs and for the ``dhat`` matrix), the forward walk up
 the composition poset by its cover rule (the reference for the library's
 walk down by that rule undone, and for its ``dhat`` rows), a block walk for
-refinement (the reference for cut-set inclusion), the full permutation sum
-for Jacobi-Trudi determinants, every assignment of parts to blocks (or a
-per-entry memoized count of them) for monomial coefficients of power sums,
+refinement (the reference for cut-set inclusion), a pruned signed
+expansion of the Jacobi-Trudi determinant (the reference for Sym's s -> h
+rows) and the full permutation sum it is checked against, every
+assignment of parts to blocks (or a per-entry memoized count of them) for
+monomial coefficients of power sums,
 cut-set inclusion for the Moebius function of the refinement order,
 whole-element conversions and Fraction products of coefficients for the
 Sym and NSym products, Fraction arithmetic over one-line tuples for the
@@ -58,7 +60,7 @@ from ncsf import (
     young_character,
     z_stat,
 )
-from ncsf import linalg, sym
+from ncsf import linalg
 from ncsf._linear import convert, dense_rows
 from ncsf.compositions import composition_index, partition_index, refinements, reversal
 from ncsf.errors import InternalConsistencyError
@@ -384,6 +386,39 @@ def jacobi_trudi_by_permutations(lam) -> dict:
         idx = tuple(sorted((e for e in exps if e > 0), reverse=True))
         out[idx] = out.get(idx, 0) + _perm_sign(sigma)
     return {k: v for k, v in out.items() if v}
+
+
+def jacobi_trudi_h(lam) -> dict:
+    """det(h_{lam_i - i + j}) expanded as a signed sum over the permutations
+    whose every h index is nonnegative, h-indexed.  Rows are assigned
+    columns depth first; taking the free column of rank r flips the sign r
+    times, once per smaller free column left for a later row.  Row k needs
+    a column j >= k - lam[k], a bound that grows with k, so a branch that
+    leaves a column free below the next row's bound is dropped: every
+    branch taken ends in a term.  The reference for Sym's s -> h rows,
+    checked against the full permutation sum."""
+    out = {}
+
+    def expand(i, free, sign, exps):
+        if i == len(lam):
+            idx = tuple(sorted((e for e in exps if e), reverse=True))
+            out[idx] = out.get(idx, 0) + sign
+            return
+        for rank, j in enumerate(free):
+            rest = free[:rank] + free[rank + 1 :]
+            if rest and rest[0] < i + 1 - lam[i + 1]:
+                continue
+            expand(i + 1, rest, -sign if rank % 2 else sign, exps + (lam[i] - i + j,))
+
+    expand(0, tuple(range(len(lam))), 1, ())
+    return {k: v for k, v in out.items() if v}
+
+
+def dominates(lam, mu) -> bool:
+    """Whether each partial sum of ``lam`` is at least that of ``mu``."""
+    pad = max(len(lam), len(mu))
+    sums = (accumulate(part + (0,) * (pad - len(part))) for part in (lam, mu))
+    return all(a >= b for a, b in zip(*sums))
 
 
 def block_count_by_assignments(mu, lam) -> int:
@@ -804,7 +839,7 @@ def sym_to_h_matrix(basis: str, n: int):
     if basis == "p":
         return _multiplicative(_p_in_h, n)
     if basis == "s":
-        return matrix_of(map(sym._jacobi_trudi_h, partitions_of(n)), partition_index(n))
+        return matrix_of(map(jacobi_trudi_h, partitions_of(n)), partition_index(n))
     s_in_h = sym_to_h_matrix("s", n)
     return linalg.matmul(linalg.transpose(s_in_h), s_in_h)
 

@@ -8,7 +8,7 @@ against each other's Gauss-Jordan inverse and S -> H and YS -> H against
 the inverse ribbon expansions times the old R -> H sums, the closed-form
 M -> F matrix against the inverse of F -> M, sparse products, transposes
 and products with substitution inverses against their dense oracles, and
-the pruned Jacobi-Trudi expansion against the full permutation sum.  Up
+the pruned Jacobi-Trudi oracle against the full permutation sum.  Up
 to n = 10, Sym's ``m`` matrices, built by Hall duality from the Schur
 ones, against the power-sum route they replace: the block counts of p in
 m (every assignment of parts to blocks up to n = 7, a memo per entry up
@@ -25,7 +25,6 @@ from math import gcd
 
 import pytest
 
-from ncsf import sym
 from ncsf._linear import dense_rows, transition_matrix
 from ncsf.compositions import compositions_of, partitions_of
 from ncsf.errors import InternalConsistencyError
@@ -42,6 +41,7 @@ from oracles import (
     invert,
     invert_unitriangular,
     jacobi_trudi_by_permutations,
+    jacobi_trudi_h,
     stored,
 )
 
@@ -196,7 +196,7 @@ def test_building_the_matrices_makes_no_fraction(monkeypatch):
 @pytest.mark.parametrize("n", range(8))
 def test_pruned_jacobi_trudi_matches_permutation_sum(n):
     for lam in partitions_of(n):
-        assert sym._jacobi_trudi_h(lam) == jacobi_trudi_by_permutations(lam), lam
+        assert jacobi_trudi_h(lam) == jacobi_trudi_by_permutations(lam), lam
 
 
 @pytest.mark.parametrize(

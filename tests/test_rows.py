@@ -7,20 +7,23 @@ it before rows were the unit (``oracles.WHOLE_MATRIX_BUILDERS``), and the
 read builds what the hop's kind says, counted by the whole matrices built
 (``transpose``, ``matmul``) and the rows held: a row alone builds no whole
 matrix and holds one row (among them each row of D = YQS -> F, and of
-QS -> F through it); a row over its closure (QSym F -> YQS, and F -> QS
-through it) builds no whole matrix, only the rows of D and of F -> YQS
-that D reaches; a hop served whole builds a whole matrix on its first
-read.  A conversion builds exactly the rows of the support it carries,
-and ``transition_matrix`` builds each row once and stores those same
-rows.  No library module inverts a matrix, and QSym and NSym together
-build two transposes per degree, both NSym's.  Sym's Pieri rows of h -> s
-equal the inverse of the Jacobi-Trudi matrix at n <= 12, QSym's
-substitution rows of F -> YQS the whole inverse of D at n <= 10, and a D
-that is not unitriangular is refused, by the row builder and by ``ncsf
-expand`` with exit code 3.  One h -> s row at n = 20 builds no
-Jacobi-Trudi row, one F -> YQS row at n = 14 only the 1,433 rows of D it
-reaches, and the whole of D at n = 9 walks each of the 2^9 shapes of
-degree <= 9 once.
+QS -> F through it); a row over its closure builds no whole matrix, only
+the substitution rows its hop reaches: for Sym s -> h the rows of the
+partitions dominating its own, for QSym F -> YQS (and F -> QS through it)
+the rows of D and of F -> YQS that D reaches; a hop served whole builds a
+whole matrix on its first read.  A conversion builds exactly the rows of
+the support it carries, and ``transition_matrix`` builds each row once and
+stores those same rows.  No library module inverts a matrix, and QSym and
+NSym together build two transposes per degree, both NSym's.  Sym's Pieri
+rows of h -> s equal the inverse of the Jacobi-Trudi matrix at n <= 12,
+its substitution rows of s -> h, each read from a cold cache, the
+Jacobi-Trudi rows at n <= 12, and QSym's substitution rows of F -> YQS
+the whole inverse of D at n <= 10.  A hop that a substitution inverts
+that is not unitriangular (D, or Sym's Pieri rows) is refused, by the row
+builder and by ``ncsf expand`` with exit code 3.  One h -> s row at n = 20
+builds no s -> h row, one F -> YQS row at n = 14 only the 1,433 rows of D
+it reaches, and the whole of D at n = 9 walks each of the 2^9 shapes of
+degree <= 9 once and keeps the 2^8 of degree < 9.
 At degrees whose whole h -> p matrix would take seconds, the Young and
 irreducible characters read only the rows they name and equal the block
 counts and the Murnaghan-Nakayama values.  Sym's e_r rows, counted by
@@ -29,7 +32,6 @@ multinomials, equal the sum over all compositions of r.
 
 import importlib
 import pkgutil
-import sys
 from collections import Counter
 from itertools import product
 
@@ -46,41 +48,43 @@ from ncsf import (
     sym_convert,
     young_character,
 )
-from ncsf import characters, qsym
-from ncsf._linear import Hop, transition_matrix
+from ncsf import characters
+from ncsf._linear import Hop, stored_row, transition_matrix
 from ncsf.cli import main
-from ncsf.compositions import composition_index, compositions_of, reversal
+from ncsf.compositions import composition_index, reversal
 from ncsf.errors import InternalConsistencyError
 from ncsf.nsym import NSYM
 from ncsf.qsym import QSYM
 from ncsf.sym import SYM, _alternating_row
-from ncsf.tableaux import _chain_ends, dhat_row
+from ncsf.tableaux import _chain_ends
 
 from oracles import (
     WHOLE_MATRIX_BUILDERS,
     alternating_row_by_compositions,
+    dominates,
     hook_length_count,
     murnaghan_nakayama,
     ordered_block_count,
     qsym_from_f_matrix,
     qsym_to_f_matrix,
     sym_from_h_matrix,
+    sym_to_h_matrix,
 )
 
 SPACES = (SYM, QSYM, NSYM)
 # the hops that build each row alone, from no whole matrix
 ALONE = {
-    ("Sym", "to"): ("e", "p", "s"),
+    ("Sym", "to"): ("e", "p"),
     ("Sym", "from"): ("e", "p", "s"),
     ("QSym", "to"): ("M", "YQS", "QS"),
     ("QSym", "from"): ("M",),
     ("NSym", "to"): ("E", "H"),
     ("NSym", "from"): ("E", "H"),
 }
-# the hops that build a row over its closure: F -> YQS by substitution, and
-# F -> QS as its rows with both indices reversed; every other hop is served
-# by a whole matrix
-CLOSURE = {("QSym", "from"): ("YQS", "QS")}
+# the hops that build a row over its closure: Sym s -> h and QSym F -> YQS by
+# substitution, and F -> QS as the rows of F -> YQS with both indices
+# reversed; every other hop is served by a whole matrix
+CLOSURE = {("Sym", "to"): ("s",), ("QSym", "from"): ("YQS", "QS")}
 WHOLE_BUILDERS = ("transpose", "matmul")
 
 
@@ -151,6 +155,17 @@ def _closure(n: int, a: int) -> set:
     return reached
 
 
+def _held_over_closure(space, basis: str, n: int, i: int) -> tuple:
+    """The substitution hop that a cold read of row ``i`` of the ``basis``
+    hop of a closure fills, and the rows it should then hold: for Sym s -> h
+    the partitions dominating the i-th one, for QSym the rows D reaches."""
+    if space is SYM:
+        parts = partitions_of(n)
+        return SYM.to_hub("s", n), {j for j, lam in enumerate(parts) if dominates(lam, parts[i])}
+    a = i if basis == "YQS" else composition_index(n)[reversal(space.indices(n)[i])]
+    return QSYM.from_hub("YQS", n), _closure(n, a)
+
+
 @pytest.mark.parametrize("space", SPACES, ids=lambda space: space.name)
 @pytest.mark.parametrize("n", range(9))
 def test_each_row_read_from_a_cold_cache_is_that_row_of_the_whole_matrix(
@@ -174,9 +189,9 @@ def test_each_row_read_from_a_cold_cache_is_that_row_of_the_whole_matrix(
                 assert len(rows) == 1 and not whole_builds, (way, basis, i)
                 assert max(rows_built.values()) == 1, (way, basis, i)
             elif closure:
-                a = i if basis == "YQS" else composition_index(n)[reversal(space.indices(n)[i])]
-                assert set(QSYM.from_hub("YQS", n)) == _closure(n, a), (basis, i)
-                assert len(rows) == 1 or basis == "YQS", (basis, i)
+                held, want_held = _held_over_closure(space, basis, n, i)
+                assert set(held) == want_held, (basis, i)
+                assert len(rows) == 1 or rows is held, (basis, i)
                 assert not whole_builds, (basis, i)
             else:  # served whole: built on the first read
                 assert len(rows) == read, (way, basis)
@@ -246,7 +261,7 @@ def test_the_whole_of_d_walks_each_shape_below_its_degree_once():
     _cold()
     _chain_ends.cache_clear()
     transition_matrix(QSYM, "YQS", "F", 9)
-    assert _chain_ends.cache_info().misses == 2**9
+    assert _chain_ends.cache_info().misses == 2**8  # degree 9 is walked, not kept
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -254,6 +269,14 @@ def test_pieri_rows_are_the_inverse_of_the_jacobi_trudi_matrix(n):
     _cold()
     want = sym_from_h_matrix("s", n)
     assert [SYM.from_hub("s", n)[i] for i in range(len(want.rows))] == list(want.rows)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_s_to_h_rows_read_from_a_cold_cache_are_the_jacobi_trudi_rows(n):
+    want = sym_to_h_matrix("s", n)
+    for i in range(len(want.rows)):
+        _cold()
+        assert SYM.to_hub("s", n)[i] == want.rows[i], i
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -265,27 +288,39 @@ def test_substitution_rows_are_the_whole_inverse_of_d(n):
         assert hop[i] == want.rows[i], i
 
 
+# each substitution: the unitriangular hop it inverts, the hop it builds,
+# their basis, and the ``expand`` arguments that read the hop it builds
+SUBSTITUTIONS = {
+    "QSym": (QSYM.to_hub, QSYM.from_hub, "YQS", "--space qsym --from F --to YQS".split()),
+    "Sym": (SYM.from_hub, SYM.to_hub, "s", "--space sym --from s --to h".split()),
+}
+
+
+@pytest.mark.parametrize("space", (QSYM, SYM), ids=lambda space: space.name)
 @pytest.mark.parametrize("guard", ("diagonal", "cycle"))
-def test_substitution_rows_refuse_a_d_that_is_not_unitriangular(guard, monkeypatch, capsys):
-    n, comps = 4, compositions_of(4)
-    a, b = next((a, max(row)) for a, row in enumerate(map(dhat_row, comps)) if max(row) != a)
+def test_substitution_rows_refuse_a_d_that_is_not_unitriangular(space, guard, capsys):
+    known, inverse, basis, words = SUBSTITUTIONS[space.name]
+    n = 4
+    _cold()
+    d = known(basis, n)  # D = YQS -> F, or Sym's Pieri rows of h -> s
+    rows = [dict(zip(*d[k])) for k in range(len(space.indices(n)))]
+    a, b = next((a, c) for a, row in enumerate(rows) for c in row if c != a)
     # a unit diagonal entry made 2, or the entry that closes the cycle a -> b -> a
     i, j, x = (a, a, 2) if guard == "diagonal" else (b, a, 1)
-    bad = {comps[i]: dhat_row(comps[i]) | {j: x}}
-    monkeypatch.setattr(qsym, "dhat_row", lambda alpha: bad.get(alpha) or dhat_row(alpha))
-    label = ",".join(map(str, comps[a]))
-    _cold()
+    bad, build = {i: stored_row(rows[i] | {j: x})}, d.build
+    d.build = lambda k: bad.get(k) or build(k)
+    d.clear()
+    label = ",".join(map(str, space.indices(n)[a]))
     try:
         with pytest.raises(InternalConsistencyError, match=guard):
-            QSYM.from_hub("YQS", n)[a]
-        argv = ["expand", "--space", "qsym", "--from", "F", "--to", "YQS", "--index", label]
-        assert main(argv) == 3
+            inverse(basis, n)[a]
+        assert main(["expand", *words, "--index", label]) == 3
         assert guard in capsys.readouterr().err
     finally:
         _cold()
 
 
-def test_one_h_to_s_row_builds_no_jacobi_trudi_row():
+def test_one_h_to_s_row_builds_no_s_to_h_row():
     _cold()
     assert sym_convert(sym_basis_element("h", (20,)), "s").terms == {(20,): 1}
     assert len(SYM.from_hub("s", 20)) == 1 and not SYM.to_hub("s", 20)
