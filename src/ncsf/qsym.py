@@ -105,8 +105,8 @@ def _from_f_rows(basis: str, n: int) -> tuple:
     if basis == "M":
         return 1, _refinement_rows(n, False)
     if basis == "YQS":
-        hop = lambda: QSYM.from_hub("YQS", n)
-        return substitution_rows(QSYM.to_hub("YQS", n), hop, f"degree-{n} YQS -> F")
+        inverse = lambda: QSYM.from_hub("YQS", n)
+        return substitution_rows(QSYM.to_hub("YQS", n), inverse, f"degree-{n} YQS -> F")
     return reversed_rows(QSYM.from_hub("YQS", n), n)
 
 

@@ -103,9 +103,9 @@ def _to_h_rows(basis: str, n: int) -> tuple:
         return 1, _multiplicative(_alternating_row, n)
     if basis == "p":
         return 1, _multiplicative(_p_in_h, n)
-    if basis == "s":  # the inverse of the Pieri rows, over its closure
-        hop = lambda: SYM.to_hub("s", n)
-        return substitution_rows(SYM.from_hub("s", n), hop, f"degree-{n} h -> s")
+    if basis == "s":
+        inverse = lambda: SYM.to_hub("s", n)
+        return substitution_rows(SYM.from_hub("s", n), inverse, f"degree-{n} h -> s")
     s_in_h = _transition_matrix(SYM, "s", "h", n)
     return served(matmul(transpose(s_in_h), s_in_h))  # m in s, then s in h
 

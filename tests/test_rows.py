@@ -32,6 +32,7 @@ multinomials, equal the sum over all compositions of r.
 
 import importlib
 import pkgutil
+import sys
 from collections import Counter
 from itertools import product
 
@@ -308,9 +309,9 @@ def test_substitution_rows_refuse_a_d_that_is_not_unitriangular(space, guard, ca
     # a unit diagonal entry made 2, or the entry that closes the cycle a -> b -> a
     i, j, x = (a, a, 2) if guard == "diagonal" else (b, a, 1)
     bad, build = {i: stored_row(rows[i] | {j: x})}, d.build
+    label = ",".join(map(str, space.indices(n)[a]))
     d.build = lambda k: bad.get(k) or build(k)
     d.clear()
-    label = ",".join(map(str, space.indices(n)[a]))
     try:
         with pytest.raises(InternalConsistencyError, match=guard):
             inverse(basis, n)[a]
