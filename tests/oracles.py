@@ -38,8 +38,12 @@ against the whole-matrix builders they used before rows were built one at
 a time (``WHOLE_MATRIX_BUILDERS``): Sym's products over compositions and
 Newton recurrences in Fraction arithmetic, QSym's sums over refinements
 and its forward walk for D (``dhat_by_covers``), and NSym's transposes
-and moved rows of QSym's matrices.
+and moved rows of QSym's matrices.  The command line's ``argparse`` parser
+as it was written by hand, option by option (``reference_parser``), is the
+reference for the parser ``ncsf.cli`` builds from its grammar table.
 """
+
+import argparse
 
 from collections import Counter
 from fractions import Fraction
@@ -62,10 +66,12 @@ from ncsf import (
 )
 from ncsf import linalg
 from ncsf._linear import convert, dense_rows
+from ncsf.cli import SPACES, _cmd_char, _cmd_expand, _cmd_matrix, _cmd_tableaux, _cmd_verify
 from ncsf.compositions import composition_index, partition_index, refinements, reversal
 from ncsf.errors import InternalConsistencyError
 from ncsf.linalg import Matrix, from_rows
 from ncsf.tableaux import CompositionDiagram
+from ncsf.verification import SUITES
 
 # number of involutions in S_n for n = 1..7
 INVOLUTIONS = (1, 2, 4, 10, 26, 76, 232)
@@ -905,3 +911,51 @@ WHOLE_MATRIX_BUILDERS = {
     "QSym": (qsym_to_f_matrix, qsym_from_f_matrix),
     "NSym": (nsym_to_r_matrix, nsym_from_r_matrix),
 }
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The ``ncsf`` command line's parser, written out option by option."""
+    parser = argparse.ArgumentParser(
+        prog="ncsf",
+        description="Exact computations with symmetric, quasisymmetric, and "
+        "noncommutative symmetric functions, descent algebras, and "
+        "symmetric-group characters.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("expand", help="expand one basis element in another basis")
+    p.add_argument("--space", required=True, choices=tuple(SPACES))
+    p.add_argument("--from", dest="source", required=True, metavar="BASIS")
+    p.add_argument("--to", dest="target", required=True, metavar="BASIS")
+    p.add_argument("--index", required=True, help="comma-separated parts; 0 for the unit")
+    p.set_defaults(handler=_cmd_expand)
+
+    p = sub.add_parser("matrix", help="full degree-n transition matrix")
+    p.add_argument("--space", required=True, choices=tuple(SPACES))
+    p.add_argument("--from", dest="source", required=True, metavar="BASIS")
+    p.add_argument("--to", dest="target", required=True, metavar="BASIS")
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(handler=_cmd_matrix)
+
+    p = sub.add_parser("tableaux", help="count or list tableaux of one shape")
+    p.add_argument("kind", choices=("syct", "syt"))
+    p.add_argument("--shape", required=True)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--count", action="store_true", default=True)
+    mode.add_argument("--list", action="store_true")
+    p.set_defaults(handler=_cmd_tableaux)
+
+    p = sub.add_parser("char", help="character values by cycle type")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--young", metavar="COMPOSITION")
+    which.add_argument("--irreducible", metavar="PARTITION")
+    p.set_defaults(handler=_cmd_char)
+
+    p = sub.add_parser("verify", help="run an exact verification suite")
+    p.add_argument("suite", choices=SUITES)
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+    p.set_defaults(handler=_cmd_verify)
+
+    return parser

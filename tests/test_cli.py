@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -14,6 +15,7 @@ from ncsf.cli import _parse_direct, build_parser, main
 from ncsf.errors import InternalConsistencyError
 from ncsf.serialize import to_json
 from ncsf.characters import Check, VerificationReport
+from oracles import reference_parser
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -391,13 +393,21 @@ _NOT_CANONICAL = [
 ]
 
 
+def _outcome(parser, argv) -> tuple:
+    """What ``parser`` makes of argv: its namespace (None where it exits, for
+    help or an error), the exit code, and what it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, code = parser.parse_args(argv), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
 def _argparse(parser, argv):
     """argparse's namespace for argv, or None where it exits (help or an error)."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return parser.parse_args(argv)
-        except SystemExit:
-            return None
+    return _outcome(parser, argv)[0]
 
 
 @pytest.mark.parametrize("command", sorted(_CANONICAL))
@@ -421,6 +431,33 @@ def test_direct_parse_agrees_with_argparse_on_every_golden_line():
     parser = build_parser()
     for argv in (key.split(" ") for key in json.loads(GOLDEN.read_text())):
         assert _parse_direct(argv) == _argparse(parser, argv) is not None, argv
+
+
+def _subcommands(parser) -> dict:
+    """The command -> subparser map of ``parser``."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_the_parser_is_the_reference_parser(monkeypatch):
+    """``build_parser`` writes the help, usage, namespaces, exit codes and
+    messages of the parser written out option by option, on every line the
+    tests above read."""
+    monkeypatch.setenv("COLUMNS", "80")
+    built, reference = build_parser(), reference_parser()
+    assert built.format_help() == reference.format_help()
+    assert built.format_usage() == reference.format_usage()
+    commands = _subcommands(reference)
+    assert _subcommands(built).keys() == commands.keys()
+    for command, p in _subcommands(built).items():
+        assert p.format_help() == commands[command].format_help(), command
+        assert p.format_usage() == commands[command].format_usage(), command
+    lines = [*_NOT_CANONICAL, *(key.split(" ") for key in json.loads(GOLDEN.read_text()))]
+    for command, groups in _CANONICAL.items():
+        lines += [_line(command, order) for order in itertools.permutations(groups)]
+        lines += _variants(command, groups)
+    for argv in lines:
+        assert _outcome(built, argv) == _outcome(reference, argv), argv
 
 
 def test_a_reader_that_leaves_early_gets_exit_141_and_no_traceback():
