@@ -36,6 +36,7 @@ from checked terms (a conversion, sum, multiple, product or the image of
 one of the spaces' maps) is not.
 """
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -165,10 +166,13 @@ def substitution_rows(known: Hop, inverse: Callable, label: str) -> tuple:
     b != a, read through X's own cached hop ``inverse()`` (read per row: it
     is not cached while it is made), so a row builds the rows of X that K
     reaches, once each.  A K with a diagonal entry other than 1 or a cycle
-    off the diagonal raises ``InternalConsistencyError`` naming ``label``."""
-    pending = set()
+    off the diagonal raises ``InternalConsistencyError`` naming ``label``.
+    The rows pending are this thread's: a row another thread is building is
+    no cycle, and a cycle recurs on the thread that meets it."""
+    held = threading.local()
 
     def row(a):
+        pending = vars(held).setdefault("rows", set())
         if a in pending:
             raise InternalConsistencyError(f"{label} has a cycle off the diagonal")
         after = dict(zip(*known[a]))

@@ -33,6 +33,7 @@ multinomials, equal the sum over all compositions of r.
 import importlib
 import pkgutil
 import sys
+import threading
 from collections import Counter
 from itertools import product
 
@@ -318,6 +319,42 @@ def test_substitution_rows_refuse_a_d_that_is_not_unitriangular(space, guard, ca
         assert main(["expand", *words, "--index", label]) == 3
         assert guard in capsys.readouterr().err
     finally:
+        _cold()
+
+
+@pytest.mark.parametrize("space, n", ((QSYM, 7), (SYM, 10)), ids=("QSym", "Sym"))
+def test_threads_reading_a_substitution_hop_at_once_meet_no_false_cycle(space, n):
+    """Two threads read halves of a cold substitution hop while a third reads
+    it all in reverse, switching every microsecond: a row another thread is
+    building is no cycle, and the rows are those of one thread's build."""
+    _, inverse, basis, _ = SUBSTITUTIONS[space.name]
+    k = len(space.indices(n))
+    _cold()
+    want = [inverse(basis, n)[i] for i in range(k)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            _cold()
+            hop, errors = inverse(basis, n), []
+
+            def read(indices):
+                try:
+                    for i in indices:
+                        hop[i]
+                except Exception as exc:
+                    errors.append(exc)
+
+            parts = (range(k // 2), range(k // 2, k), range(k)[::-1])
+            threads = [threading.Thread(target=read, args=(part,)) for part in parts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            assert [hop[i] for i in range(k)] == want
+    finally:
+        sys.setswitchinterval(interval)
         _cold()
 
 
