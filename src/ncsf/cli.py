@@ -12,10 +12,13 @@ reader leaves early.  Indices are comma-separated positive integers with
 the empty composition spelled ``0``.  All numeric output is exact-rational
 text.
 
-``main`` parses a canonical command line by the table ``_GRAMMAR``.  The
-rest (help, abbreviations, ``--opt=value``, ``--``, errors) goes to
-``build_parser``, which writes all help and usage text; the tests hold the
-direct parse to it.
+The grammar is written once: the table ``_GRAMMAR``, with the choices,
+converters, flags, help and metavars beside it.  ``main`` parses a
+canonical command line by the table directly.  The rest (help,
+abbreviations, ``--opt=value``, ``--``, errors) goes to ``build_parser``,
+the argparse parser built from the same table, which writes all help and
+usage text.  The tests hold ``build_parser`` to the parser as it was once
+written by hand, option by option, and the direct parse to ``build_parser``.
 """
 
 import argparse
@@ -60,12 +63,22 @@ def _parse_index(text: str) -> tuple[int, ...]:
     return index
 
 
-def _resolve_basis(space: str, name: str) -> str:
-    bases = SPACES[space].bases
-    for basis in bases:
-        if name.lower() == basis.lower():
-            return basis
-    raise UsageError(f"unknown {space} basis {name!r}; expected one of {bases}")
+def _space_and_bases(args) -> tuple:
+    """The space of ``args`` and its ``--from`` and ``--to`` bases, each
+    named in any case."""
+    space = SPACES[args.space]
+    named = {basis.lower(): basis for basis in space.bases}
+    for name in (args.source, args.target):
+        if name.lower() not in named:
+            raise UsageError(f"unknown {args.space} basis {name!r}; expected one of {space.bases}")
+    return space, named[args.source.lower()], named[args.target.lower()]
+
+
+def _checked_degree(n: int) -> int:
+    if n < 1:
+        raise UsageError(f"degree must be at least 1: {n}")
+    _check_degree(n)
+    return n
 
 
 def _index_label(index) -> str:
@@ -73,27 +86,19 @@ def _index_label(index) -> str:
 
 
 def _cmd_expand(args) -> int:
-    space = SPACES[args.space]
-    source = _resolve_basis(args.space, args.source)
-    target = _resolve_basis(args.space, args.target)
+    space, source, target = _space_and_bases(args)
     index = _parse_index(args.index)
     n = sum(index)
     _check_degree(n)
     space.check_index(index)
     terms = convert_terms(space, {index: 1}, source, target)
-    payload = serialize.element_payload(args.space, target, n, terms, space.index(n))
-    print(serialize.to_json(payload))
+    print(serialize.to_json(serialize.element_payload(args.space, target, n, terms)))
     return 0
 
 
 def _cmd_matrix(args) -> int:
-    space = SPACES[args.space]
-    source = _resolve_basis(args.space, args.source)
-    target = _resolve_basis(args.space, args.target)
-    n = args.n
-    if n < 1:
-        raise UsageError(f"degree must be at least 1: {n}")
-    _check_degree(n)
+    space, source, target = _space_and_bases(args)
+    n = _checked_degree(args.n)
     order = space.indices(n)
     # row convention inside the library is "row = expansion of a source
     # element"; the emitted matrix maps coordinate vectors, so transpose
@@ -126,26 +131,18 @@ def _cmd_tableaux(args) -> int:
 
 
 def _cmd_char(args) -> int:
-    if args.young is not None:
-        index = _parse_index(args.young)
-        _check_degree(sum(index))
-        cf = young_character(index)
-        kind = "young"
-    else:
-        index = _parse_index(args.irreducible)
-        _check_degree(sum(index))
-        cf = irreducible_character(index)
-        kind = "irreducible"
+    kind = "young" if args.young is not None else "irreducible"
+    index = _parse_index(getattr(args, kind))
+    _check_degree(sum(index))
+    character = young_character if kind == "young" else irreducible_character
+    cf = character(index)
     payload = serialize.class_function_payload(kind, cf.n, cf.values, partitions_of(cf.n))
     print(serialize.to_json(payload))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    n = args.n
-    if n < 1:
-        raise UsageError(f"degree must be at least 1: {n}")
-    _check_degree(n)
+    n = _checked_degree(args.n)
     report = run_suite(args.suite, n)
     passed = len(report.checks) - len(report.failures)
     if args.json:
@@ -168,58 +165,24 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ncsf",
-        description="Exact computations with symmetric, quasisymmetric, and "
-        "noncommutative symmetric functions, descent algebras, and "
-        "symmetric-group characters.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="expand one basis element in another basis")
-    p.add_argument("--space", required=True, choices=tuple(SPACES))
-    p.add_argument("--from", dest="source", required=True, metavar="BASIS")
-    p.add_argument("--to", dest="target", required=True, metavar="BASIS")
-    p.add_argument("--index", required=True, help="comma-separated parts; 0 for the unit")
-    p.set_defaults(handler=_cmd_expand)
-
-    p = sub.add_parser("matrix", help="full degree-n transition matrix")
-    p.add_argument("--space", required=True, choices=tuple(SPACES))
-    p.add_argument("--from", dest="source", required=True, metavar="BASIS")
-    p.add_argument("--to", dest="target", required=True, metavar="BASIS")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(handler=_cmd_matrix)
-
-    p = sub.add_parser("tableaux", help="count or list tableaux of one shape")
-    p.add_argument("kind", choices=("syct", "syt"))
-    p.add_argument("--shape", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--count", action="store_true", default=True)
-    mode.add_argument("--list", action="store_true")
-    p.set_defaults(handler=_cmd_tableaux)
-
-    p = sub.add_parser("char", help="character values by cycle type")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--young", metavar="COMPOSITION")
-    which.add_argument("--irreducible", metavar="PARTITION")
-    p.set_defaults(handler=_cmd_char)
-
-    p = sub.add_parser("verify", help="run an exact verification suite")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(handler=_cmd_verify)
-
-    return parser
-
-
-# ``build_parser`` as a table: choices and converters by dest, the flags (they
-# store True), and by command: the positional's dest, option -> dest, every default
-# argparse sets (a dest with none is required), one-of groups -> how many are needed
-_CHOICES = {"space": tuple(SPACES), "format": ("json", "csv"), "kind": ("syct", "syt"), "suite": SUITES}
+# The grammar.  By dest: choices, converters and metavars; the flags (they
+# store True); help by command, by dest, and for ncsf itself.  By command:
+# the positional's dest, option -> dest, every default (a dest with none is
+# required), one-of groups -> how many are needed.
+_CHOICES = {"space": tuple(SPACES), "format": ("json", "csv"), "kind": tuple(_TABLEAUX), "suite": SUITES}
 _CONVERT, _FLAGS = {"n": int}, {"--count", "--list", "--json"}
+_METAVARS = {"source": "BASIS", "target": "BASIS", "young": "COMPOSITION", "irreducible": "PARTITION"}
+_HELP = {
+    "ncsf": "Exact computations with symmetric, quasisymmetric, and noncommutative symmetric "
+    "functions, descent algebras, and symmetric-group characters.",
+    "expand": "expand one basis element in another basis",
+    "matrix": "full degree-n transition matrix",
+    "tableaux": "count or list tableaux of one shape",
+    "char": "character values by cycle type",
+    "verify": "run an exact verification suite",
+    "index": "comma-separated parts; 0 for the unit",
+    "json": "machine-readable report",
+}
 _BASES = {"--space": "space", "--from": "source", "--to": "target"}
 _GRAMMAR = {
     "expand": (None, {**_BASES, "--index": "index"}, {"handler": _cmd_expand}, {}),
@@ -231,6 +194,32 @@ _GRAMMAR = {
              {"handler": _cmd_char, "young": None, "irreducible": None}, {("young", "irreducible"): 1}),
     "verify": ("suite", {"-n": "n", "--json": "json"}, {"handler": _cmd_verify, "json": False}, {}),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``_GRAMMAR``."""
+    parser = argparse.ArgumentParser(prog="ncsf", description=_HELP["ncsf"])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (positional, options, defaults, groups) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        if positional:
+            p.add_argument(positional, choices=_CHOICES[positional])
+        home = {}
+        for dests, least in groups.items():
+            group = p.add_mutually_exclusive_group(required=least == 1)
+            for dest in dests:
+                home[dest] = group
+        for option, dest in options.items():
+            where = home.get(dest, p)
+            if option in _FLAGS:
+                where.add_argument(option, dest=dest, action="store_true", help=_HELP.get(dest))
+            else:
+                where.add_argument(
+                    option, dest=dest, type=_CONVERT.get(dest), choices=_CHOICES.get(dest),
+                    metavar=_METAVARS.get(dest), required=dest not in defaults, help=_HELP.get(dest),
+                )
+        p.set_defaults(**defaults)
+    return parser
 
 
 def _parse_direct(argv):

@@ -21,20 +21,14 @@ def format_coeff(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def element_payload(space: str, basis: str, degree: int, terms, position) -> dict:
-    """A sparse element as {space, basis, degree, terms}; ``position``, the
-    space's {index: position in canonical order}, fixes the order of the
-    terms, and zero coefficients are dropped."""
-    entries = sorted(terms.items(), key=lambda item: position[item[0]])
+def element_payload(space: str, basis: str, degree: int, terms) -> dict:
+    """A sparse element as {space, basis, degree, terms}; ``terms`` are
+    nonzero and in canonical order, as conversions return them."""
     return {
         "space": space,
         "basis": basis,
         "degree": degree,
-        "terms": [
-            {"index": list(idx), "coeff": format_coeff(c)}
-            for idx, c in entries
-            if c
-        ],
+        "terms": [{"index": list(idx), "coeff": format_coeff(c)} for idx, c in terms.items()],
     }
 
 
