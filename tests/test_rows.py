@@ -20,7 +20,8 @@ its substitution rows of s -> h, each read from a cold cache, the
 Jacobi-Trudi rows at n <= 12, and QSym's substitution rows of F -> YQS
 the whole inverse of D at n <= 10.  A hop that a substitution inverts
 that is not unitriangular (D, or Sym's Pieri rows) is refused, by the row
-builder and by ``ncsf expand`` with exit code 3.  One h -> s row at n = 20
+builder and by ``ncsf expand`` with exit code 3, and threads that read
+one cold substitution hop at once meet no false cycle.  One h -> s row at n = 20
 builds no s -> h row, one F -> YQS row at n = 14 only the 1,433 rows of D
 it reaches, and the whole of D at n = 9 walks each of the 2^9 shapes of
 degree <= 9 once and keeps the 2^8 of degree < 9.
@@ -350,7 +351,8 @@ def test_threads_reading_a_substitution_hop_at_once_meet_no_false_cycle(space, n
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
             assert errors == []
             assert [hop[i] for i in range(k)] == want
     finally:
