@@ -167,8 +167,7 @@ def substitution_rows(known: Hop, inverse: Callable, label: str) -> tuple:
     is not cached while it is made), so a row builds the rows of X that K
     reaches, once each.  A K with a diagonal entry other than 1 or a cycle
     off the diagonal raises ``InternalConsistencyError`` naming ``label``.
-    The rows pending are this thread's: a row another thread is building is
-    no cycle, and a cycle recurs on the thread that meets it."""
+    Pending rows are per thread: a row another thread is building is no cycle."""
     held = threading.local()
 
     def row(a):

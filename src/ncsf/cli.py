@@ -12,13 +12,11 @@ reader leaves early.  Indices are comma-separated positive integers with
 the empty composition spelled ``0``.  All numeric output is exact-rational
 text.
 
-The grammar is written once: the table ``_GRAMMAR``, with the choices,
-converters, flags, help and metavars beside it.  ``main`` parses a
-canonical command line by the table directly.  The rest (help,
-abbreviations, ``--opt=value``, ``--``, errors) goes to ``build_parser``,
-the argparse parser built from the same table, which writes all help and
-usage text.  The tests hold ``build_parser`` to the parser as it was once
-written by hand, option by option, and the direct parse to ``build_parser``.
+``main`` parses a canonical command line by the table ``_GRAMMAR``.  The
+rest (help, abbreviations, ``--opt=value``, ``--``, errors) goes to
+``build_parser``, built from the same table, which writes all help and
+usage text.  The tests hold the direct parse to ``build_parser``, and it
+to the parser once written by hand, option by option.
 """
 
 import argparse
@@ -64,8 +62,7 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def _space_and_bases(args) -> tuple:
-    """The space of ``args`` and its ``--from`` and ``--to`` bases, each
-    named in any case."""
+    """The space of ``args`` and its ``--from`` and ``--to`` bases, named in any case."""
     space = SPACES[args.space]
     named = {basis.lower(): basis for basis in space.bases}
     for name in (args.source, args.target):
@@ -92,7 +89,8 @@ def _cmd_expand(args) -> int:
     _check_degree(n)
     space.check_index(index)
     terms = convert_terms(space, {index: 1}, source, target)
-    print(serialize.to_json(serialize.element_payload(args.space, target, n, terms)))
+    payload = serialize.element_payload(args.space, target, n, terms)
+    print(serialize.to_json(payload))
     return 0
 
 

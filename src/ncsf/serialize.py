@@ -28,7 +28,10 @@ def element_payload(space: str, basis: str, degree: int, terms) -> dict:
         "space": space,
         "basis": basis,
         "degree": degree,
-        "terms": [{"index": list(idx), "coeff": format_coeff(c)} for idx, c in terms.items()],
+        "terms": [
+            {"index": list(idx), "coeff": format_coeff(c)}
+            for idx, c in terms.items()
+        ],
     }
 
 

@@ -21,10 +21,10 @@ Jacobi-Trudi rows at n <= 12, and QSym's substitution rows of F -> YQS
 the whole inverse of D at n <= 10.  A hop that a substitution inverts
 that is not unitriangular (D, or Sym's Pieri rows) is refused, by the row
 builder and by ``ncsf expand`` with exit code 3, and threads that read
-one cold substitution hop at once meet no false cycle.  One h -> s row at n = 20
-builds no s -> h row, one F -> YQS row at n = 14 only the 1,433 rows of D
-it reaches, and the whole of D at n = 9 walks each of the 2^9 shapes of
-degree <= 9 once and keeps the 2^8 of degree < 9.
+one cold substitution hop at once meet no false cycle.  One h -> s row at
+n = 20 builds no s -> h row, one F -> YQS row at n = 14 only the 1,433
+rows of D it reaches, and the whole of D at n = 9 walks each of the 2^9
+shapes of degree <= 9 once and keeps the 2^8 of degree < 9.
 At degrees whose whole h -> p matrix would take seconds, the Young and
 irreducible characters read only the rows they name and equal the block
 counts and the Murnaghan-Nakayama values.  Sym's e_r rows, counted by
