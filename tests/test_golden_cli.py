@@ -8,7 +8,8 @@ of every space at n <= 5 (JSON and CSV), in JSON at the larger degrees of
 ``_DISTINCT_LARGE``, ``expand`` for every basis pair and index up to the
 degree of ``_EXPAND_TOP`` and for every index of the hops into and out of
 the Schur bases of ``_EXPAND_LARGE`` at larger degrees, ``char --young``/``--irreducible`` at n <= 5 and
-for every partition of 6 and 7, every ``verify`` suite at n <= 4 and at the
+for every partition of 6 and 7, ``char --irreducible`` for every partition
+of 8, every ``verify`` suite at n <= 4 and at the
 degrees of ``_VERIFY_LARGE`` (text and ``--json``), the QSym conversions of
 ``_CONVERT`` at the ``convert`` degree 8 in JSON, ``tableaux syct`` for
 every composition of n <= 5 and n = 7 and ``tableaux syt`` for every
@@ -70,10 +71,10 @@ _EXPAND_LARGE = {
 }
 # degrees above 4 at which each ``verify`` suite is pinned, text and JSON
 _VERIFY_LARGE = {
-    "main-theorem": (5, 6, 7),
+    "main-theorem": (5, 6, 7, 8),
     "duality": (5, 6),
     "solomon": (5, 6),
-    "square": (5, 6, 7),
+    "square": (5, 6, 7, 8),
     "all": (5, 6),
 }
 
@@ -153,7 +154,7 @@ def _commands() -> dict:
         for kind in ("young", "irreducible")
         for n in (6, 7)
         for lam in partitions_of(n)
-    ]
+    ] + [["char", "--irreducible", _label(lam)] for lam in partitions_of(8)]
     groups["verify-large"] = [
         ["verify", suite, "-n", str(n)] + extra
         for suite, degrees in _VERIFY_LARGE.items()

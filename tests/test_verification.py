@@ -1,7 +1,10 @@
 """The verify suites: one registry, the duality suite's matrices against the
-per-pair pairing, the command line's own degree check, and the solomon
-suite under a miscounting product kernel and without its class products."""
+per-pair pairing, the command line's own degree check, the solomon suite
+under a miscounting product kernel and without its class products, and the
+exact failure witnesses of the main-theorem and solomon suites under a
+ribbon character table that is wrong at one entry."""
 
+import hashlib
 import json
 
 import pytest
@@ -14,7 +17,7 @@ from ncsf import (
     run_suite,
     verify_main_theorem,
 )
-from ncsf import descent
+from ncsf import characters, descent
 from ncsf._linear import dense_rows
 from ncsf.characters import character_checks, square_checks
 from ncsf.cli import main
@@ -109,3 +112,56 @@ def test_solomon_without_class_products_takes_the_s_n_path(monkeypatch, fresh_cl
     monkeypatch.setattr(descent, "_class_product", lambda n, d, e: None)
     assert run_suite("solomon", 4) == want
     assert want.all_passed
+
+
+# (exit code, SHA-256 of stdout) of each job under ``_one_wrong_ribbon_value``
+WITNESS_DIGESTS = {
+    "verify main-theorem -n 4": (1, "3910c895877715017380d948734444d697c10c87b456fe6c644072303e8e9a5c"),
+    "verify main-theorem -n 4 --json": (1, "11223a22fbcd4d030e26772dd7a92b14d5548428bb091a80adff3fdb81259660"),
+    "verify solomon -n 3": (1, "4623e4e9635464a0ddf5fa80f512ee4220033a06ce0b90b085c7dedcd149222b"),
+    "verify solomon -n 3 --json": (1, "1648d3a72240ea00fda686f77f9e889d592f166d376cba612501fc604f2df5da"),
+}
+
+
+def _one_wrong_ribbon_value(ribbon_characters):
+    """``ribbon_characters`` with the ribbon character of (1^n) one too
+    large at the cycle type (n)."""
+
+    def wrong(n):
+        table = list(ribbon_characters(n))
+        table[-1] = (table[-1][0] + 1, *table[-1][1:])
+        return tuple(table)
+
+    return wrong
+
+
+def test_failure_witnesses_keep_their_exact_text(capsys, monkeypatch):
+    wrong = _one_wrong_ribbon_value(characters._ribbon_characters)
+    monkeypatch.setattr(characters, "_ribbon_characters", wrong)
+    outputs = {}
+    for key, (code, digest) in WITNESS_DIGESTS.items():
+        got = main(key.split())
+        out = capsys.readouterr().out
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), key
+        outputs[key] = out
+    witness = (
+        "theta image {(4,): Fraction(0, 1), (3, 1): Fraction(1, 1), (2, 2): Fraction(1, 1),"
+        " (2, 1, 1): Fraction(-1, 1), (1, 1, 1, 1): Fraction(1, 1)} != {(4,): Fraction(-1, 1),"
+        " (3, 1): Fraction(1, 1), (2, 2): Fraction(1, 1), (2, 1, 1): Fraction(-1, 1),"
+        " (1, 1, 1, 1): Fraction(1, 1)}"
+    )
+    assert outputs["verify main-theorem -n 4"] == (
+        "suite main-theorem, n=4: 14/16 checks passed\n"
+        f"FAIL noncommutative-character/S/1,1,1,1: {witness}\n"
+        f"FAIL noncommutative-character/YS/1,1,1,1: {witness}\n"
+    )
+    assert outputs["verify solomon -n 3"].endswith(
+        "FAIL solomon/1,1,1;1,1,1: theta image {(3,): Fraction(6, 1), (2, 1): Fraction(0, 1),"
+        " (1, 1, 1): Fraction(36, 1)} != {(3,): Fraction(0, 1), (2, 1): Fraction(0, 1),"
+        " (1, 1, 1): Fraction(36, 1)}\n"
+    )
+    # the JSON reports carry the same witnesses as the text reports
+    for suite in ("main-theorem -n 4", "solomon -n 3"):
+        checks = json.loads(outputs[f"verify {suite} --json"])["checks"]
+        failed = [f"FAIL {c['name']}: {c['witness']}" for c in checks if not c["passed"]]
+        assert failed == outputs[f"verify {suite}"].splitlines()[1:]
