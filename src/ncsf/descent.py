@@ -12,16 +12,19 @@ from checked ones (``xi``, ``delta``, ``convolve``, ``psi_inverse``, sums
 and multiples) are not checked again.
 
 ``xi``, ``delta`` and ``psi_inverse`` build their elements from class-sum
-coordinates, and those elements carry the coordinates, which ``psi`` reads
-instead of scanning S_n.  So does the ``convolve`` product of two such
-elements: it is the weighted sum of the products of their class sums, and
-each of those is formed in S_n on its first use, checked to be constant
-on every descent class and kept (``_class_product``).  A one-off product
-so forms the |a.terms| * |b.terms| permutation products of the product in
-S_n, and the products of all pairs of class-built elements of one degree
-n form (n!)^2 in all.  Every other element (one built by the public
-constructors, a sum, a multiple, or a product with a factor that carries
-no coordinates) carries none, so ``psi`` finds its coordinates by
+coordinates, and those elements carry only the coordinates, which ``psi``
+reads instead of scanning S_n.  Their ``terms`` are listed from the
+descent classes the first time they are read and kept, so ``==``, ``repr``,
+sums and the S_n path of ``convolve`` see the same terms as before, and
+``psi`` and ``theta`` never list them.  So does the ``convolve`` product of
+two such elements: it is the weighted sum of the products of their class
+sums, and each of those is formed in S_n on its first use, checked to be
+constant on every descent class and kept (``_class_product``).  A one-off
+product so forms the |a.terms| * |b.terms| permutation products of the
+product in S_n, and the products of all pairs of class-built elements of
+one degree n form (n!)^2 in all.  Every other element (one built by the
+public constructors, a sum, a multiple, or a product with a factor that
+carries no coordinates) carries none, so ``psi`` finds its coordinates by
 ``descent_span_coordinates``, which also checks that it lies in the
 descent algebra.
 
@@ -180,6 +183,18 @@ class GroupAlgebraElement(LinearCombinationOps):
         _check_degree(self.n)
         object.__setattr__(self, "terms", normalize_terms(self.terms, self._check_permutation))
 
+    def __getattr__(self, name):
+        """The ``terms`` of an element built by ``_of_classes``, listed from
+        its class coordinates on first read and kept.  Threads that read
+        them at once each list equal terms."""
+        if name != "terms" or self._coords is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        classes = _composition_classes(self.n)
+        # distinct compositions have disjoint descent classes
+        terms = {sigma: c for alpha, c in self._coords.items() for sigma in classes[alpha]}
+        object.__setattr__(self, "terms", terms)
+        return terms
+
     def _check_permutation(self, sigma) -> Permutation:
         sigma = check_permutation(sigma)
         if len(sigma) != self.n:
@@ -210,12 +225,11 @@ def _composition_classes(n: int) -> dict[Composition, tuple[Permutation, ...]]:
 def _of_classes(n: int, coords: dict) -> GroupAlgebraElement:
     """The element of degree ``n`` whose coordinate over the class sum of
     each composition is given by ``coords`` (canonical, built from checked
-    ones); it carries ``coords`` for ``psi``."""
+    ones).  It carries only ``coords``, which ``psi`` reads; its ``terms``
+    are listed on first read (``GroupAlgebraElement.__getattr__``)."""
     descent_classes(n)  # the degree guard; builds the classes on a first call
-    classes = _composition_classes(n)
-    # distinct compositions have disjoint descent classes
-    terms = {sigma: c for alpha, c in coords.items() for sigma in classes[alpha]}
-    x = GroupAlgebraElement._of(n, terms)
+    x = object.__new__(GroupAlgebraElement)
+    object.__setattr__(x, "n", n)
     object.__setattr__(x, "_coords", coords)
     return x
 

@@ -19,14 +19,16 @@ Each suite is one check generator in a registry, so no suite computes
 another's checks.
 """
 
+from operator import mul
+
 from .characters import (
     Check,
     VerificationReport,
+    _theta_values,
+    _witness,
+    _young_values,
     character_checks,
-    class_products,
     square_checks,
-    theta,
-    young_character,
 )
 from .compositions import compositions_of, format_composition
 from .descent import convolve, xi
@@ -63,19 +65,21 @@ def _duality_checks(n: int):
 
 
 def _solomon_checks(n: int):
+    """theta of each product xi_alpha xi_beta against the pointwise product
+    of the Young characters of alpha and beta, compared as ``int`` values."""
     xis = {alpha: xi(alpha) for alpha in compositions_of(n)}
+    young = {alpha: _young_values(alpha) for alpha in xis}
     for alpha, xi_alpha in xis.items():
         for beta, xi_beta in xis.items():
             name = f"solomon/{format_composition(alpha)};{format_composition(beta)}"
             try:
-                got = theta(convolve(xi_alpha, xi_beta))
+                got = _theta_values(convolve(xi_alpha, xi_beta))
             except NotInDescentSpanError:
                 yield Check(name, False, "product left the descent span")
                 continue
-            want = class_products(young_character(alpha), young_character(beta), "pointwise")
+            want = tuple(map(mul, young[alpha], young[beta]))
             passed = got == want
-            witness = "" if passed else f"theta image {got.values} != {want.values}"
-            yield Check(name, passed, witness)
+            yield Check(name, passed, "" if passed else _witness(n, got, want))
 
 
 _CHECKS = {

@@ -2,7 +2,10 @@
 
 Everything here recomputes expected values by a route different from the
 library code under test: hook lengths for tableau counts, border-strip
-recursion for character values, explicit coset counting for induced
+recursion for character values, and the characters read off the Schur
+functions by the inverse characteristic map (``irreducible_character_by_schur``,
+the route the library took before its border-strip walk), explicit
+coset counting for induced
 characters, the three SYCT conditions of the definition checked cell by
 cell (the reference for the library's chain test of SYCT validity, and the
 filter of a brute-force tableau enumeration), the row and column conditions
@@ -55,10 +58,12 @@ from math import factorial, lcm
 from ncsf import (
     SYCT,
     ClassFunction,
+    ch_inverse,
     comp_of,
     compositions_of,
     descent_composition_syct,
     partitions_of,
+    schur,
     sym_convert,
     sym_element,
     young_character,
@@ -116,6 +121,12 @@ def murnaghan_nakayama(lam, mu) -> int:
         sign = -1 if height % 2 else 1
         total += sign * murnaghan_nakayama(new_lam, rest)
     return total
+
+
+def irreducible_character_by_schur(lam) -> ClassFunction:
+    """The irreducible character of shape ``lam`` read off the Schur
+    function: its h terms (Sym's s -> h row) carried to the power sums."""
+    return ch_inverse(schur(lam))
 
 
 def perm_cycle_type(sigma) -> tuple[int, ...]:

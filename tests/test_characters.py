@@ -34,6 +34,7 @@ from ncsf.characters import _ribbon_character
 from ncsf.descent import group_algebra_element
 
 from oracles import (
+    irreducible_character_by_schur,
     murnaghan_nakayama,
     ribbon_character_by_coarsenings,
     young_character_by_cosets,
@@ -104,12 +105,13 @@ def test_irreducible_character_values():
     assert irreducible_character((2, 1)).values == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
 
 
-def test_irreducible_characters_match_border_strip_recursion():
-    for n in range(1, 7):
-        for lam in partitions_of(n):
-            chi = irreducible_character(lam)
-            for mu in partitions_of(n):
-                assert chi.values[mu] == murnaghan_nakayama(lam, mu), (lam, mu)
+@pytest.mark.parametrize("n", range(10))
+def test_the_strip_walk_equals_the_schur_route_and_the_border_strip_recursion(n):
+    for lam in partitions_of(n):
+        chi = irreducible_character(lam)
+        assert chi == irreducible_character_by_schur(lam), lam
+        for mu in partitions_of(n):
+            assert chi.values[mu] == murnaghan_nakayama(lam, mu), (lam, mu)
 
 
 def test_character_dimensions_count_tableaux():

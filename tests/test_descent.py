@@ -1,5 +1,14 @@
+"""Permutations, descent classes and the group algebra: the descent-algebra
+elements, their products and psi.  An element built from class coordinates
+lists its terms on first read, and behaves then as the listing of S_n it
+replaces, also when copied, pickled or read by two threads at once."""
+
+import copy
+import pickle
+import sys
+import threading
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial
 
 import pytest
@@ -24,7 +33,7 @@ from ncsf import (
     xi,
 )
 from ncsf import descent
-from ncsf.descent import descent_classes, descent_set_perm
+from ncsf.descent import GroupAlgebraElement, descent_classes, descent_set_perm
 from ncsf.errors import (
     DegreeMismatchError,
     NotInDescentSpanError,
@@ -341,3 +350,94 @@ def test_group_algebra_element_validation():
     with pytest.raises(DegreeMismatchError):
         group_algebra_element(3, {(1, 2): 1})
     assert group_algebra_element(3, {(1, 2, 3): 0}).terms == {}
+
+
+def _class_built(n: int) -> dict:
+    """Makers of the class-built elements of degree ``n``: from ``xi``,
+    ``delta``, ``psi_inverse`` and a ``convolve`` of two of them, each
+    building a new element on every call."""
+    comps = compositions_of(n)
+    alpha, beta = comps[len(comps) // 2], comps[-1]
+    return {
+        "xi": lambda: xi(alpha),
+        "delta": lambda: delta(beta),
+        "psi_inverse": lambda: psi_inverse(nsym_basis_element("S", alpha)),
+        "convolve": lambda: convolve(xi(alpha), delta(beta)),
+    }
+
+
+def _listed(x) -> GroupAlgebraElement:
+    """The element of ``x``'s class coordinates with its terms listed over
+    S_n in the order of its coordinates, as elements were built before their
+    terms were listed on demand, each class read by its descent set."""
+    classes = descent._descent_classes(x.n)
+    terms = {
+        sigma: c
+        for alpha, c in x._coords.items()
+        for sigma in classes[tuple(accumulate(alpha))[:-1] if alpha else ()]
+    }
+    return GroupAlgebraElement._of(x.n, terms)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_class_built_elements_list_their_terms_on_first_read(n):
+    # the first permutation of each descent class: an element without coordinates
+    firsts = {sigmas[0]: 1 for sigmas in descent._descent_classes(n).values()}
+    other = group_algebra_element(n, firsts)
+    assert other._coords is None
+    for kind, make in _class_built(n).items():
+        x = make()
+        assert "terms" not in vars(x), kind
+        want = _listed(x)
+        # the listing is the scan of S_n by descent composition
+        scan = {
+            sigma: x._coords.get(descent_composition_perm(sigma), 0)
+            for sigma in permutations(range(1, n + 1))
+        }
+        assert want.terms == {sigma: c for sigma, c in scan.items() if c}, kind
+        assert make() == want and want == make(), kind
+        assert repr(make()) == repr(want), kind
+        assert make() + other == want + other and other + make() == other + want, kind
+        assert make() - other == want - other, kind
+        assert repr(make() + other) == repr(want + other), kind
+        assert convolve(make(), other) == convolve(want, other), kind
+        assert convolve(other, make()) == convolve(other, want), kind
+        assert descent_span_coordinates(make()) == x._coords, kind
+        # the first read keeps the terms
+        assert x.terms is x.terms and vars(x)["terms"] == want.terms, kind
+
+
+def test_copies_pickles_and_threads_read_the_listed_terms():
+    x = xi((2, 1, 2))
+    want = _listed(x)
+    cold = (copy.copy(xi((2, 1, 2))), copy.deepcopy(xi((2, 1, 2))))
+    cold += (pickle.loads(pickle.dumps(xi((2, 1, 2)))),)
+    for y in cold:
+        assert "terms" not in vars(y) and y._coords == x._coords
+        assert y.terms == want.terms and y == want
+    assert x.terms == want.terms
+    warm = (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)))
+    for y in warm:
+        assert "terms" in vars(y) and y == want
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            y, read = xi((1, 1, 2, 1)), []
+            threads = [threading.Thread(target=lambda: read.append(y.terms)) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert read == [_listed(y).terms] * 2
+            assert y.terms == _listed(y).terms
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_other_attributes_are_missing_as_before():
+    x = xi((1, 2))
+    with pytest.raises(AttributeError, match="'GroupAlgebraElement' object has no attribute 'nope'"):
+        x.nope
+    assert not hasattr(x, "nope") and "terms" not in vars(x)
