@@ -13,20 +13,20 @@ and multiples) are not checked again.
 
 ``xi``, ``delta`` and ``psi_inverse`` build their elements from class-sum
 coordinates, and those elements carry only the coordinates, which ``psi``
-reads instead of scanning S_n.  Their ``terms`` are listed from the
-descent classes the first time they are read and kept, so ``==``, ``repr``,
-sums and the S_n path of ``convolve`` see the same terms as before, and
-``psi`` and ``theta`` never list them.  So does the ``convolve`` product of
-two such elements: it is the weighted sum of the products of their class
-sums, and each of those is formed in S_n on its first use, checked to be
+reads instead of scanning S_n.  So does the ``convolve`` product of two
+such elements: it is the weighted sum of the products of their class sums,
+and each of those is formed in S_n on its first use, checked to be
 constant on every descent class and kept (``_class_product``).  A one-off
 product so forms the |a.terms| * |b.terms| permutation products of the
 product in S_n, and the products of all pairs of class-built elements of
-one degree n form (n!)^2 in all.  Every other element (one built by the
-public constructors, a sum, a multiple, or a product with a factor that
-carries no coordinates) carries none, so ``psi`` finds its coordinates by
-``descent_span_coordinates``, which also checks that it lies in the
-descent algebra.
+one degree n form (n!)^2 in all.  The ``terms`` of a class-built element
+are listed from the descent classes the first time they are read, and
+kept, so ``==``, ``repr``, sums and the S_n path of ``convolve`` see every
+term, while ``psi`` and ``theta`` list none.  Every other element (one
+built by the public constructors, a sum, a multiple, or a product with a
+factor that carries no coordinates) carries none, so ``psi`` finds its
+coordinates by ``descent_span_coordinates``, which also checks that it
+lies in the descent algebra.
 
 Building a group algebra of degree above the configured bound (default 8,
 override with the NCSF_MAX_N environment variable) raises

@@ -2,10 +2,10 @@
 
 Everything here recomputes expected values by a route different from the
 library code under test: hook lengths for tableau counts, border-strip
-recursion for character values, and the characters read off the Schur
-functions by the inverse characteristic map (``irreducible_character_by_schur``,
-the route the library took before its border-strip walk), explicit
-coset counting for induced
+recursion for character values, the irreducible characters read off the
+Schur functions by the inverse characteristic map
+(``irreducible_character_by_schur``, the route the library took before
+its border-strip walk), explicit coset counting for induced
 characters, the three SYCT conditions of the definition checked cell by
 cell (the reference for the library's chain test of SYCT validity, and the
 filter of a brute-force tableau enumeration), the row and column conditions

@@ -8,7 +8,7 @@ import pickle
 import sys
 import threading
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -374,7 +374,7 @@ def _listed(x) -> GroupAlgebraElement:
     terms = {
         sigma: c
         for alpha, c in x._coords.items()
-        for sigma in classes[tuple(accumulate(alpha))[:-1] if alpha else ()]
+        for sigma in classes[descent._cut_points(alpha)]
     }
     return GroupAlgebraElement._of(x.n, terms)
 
